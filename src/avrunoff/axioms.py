@@ -13,8 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from avrunoff.profiles import (
     ApprovalProfile,
@@ -53,8 +52,7 @@ class Violation:
     def verify(self) -> bool:
         """Recompute both sides and re-check the defining condition."""
         if self.axiom == FAVORITE_CONSISTENCY:
-            prof = self.profile
-            V = prof.as_approval() if isinstance(prof, RankedProfile) else prof
+            V = self.profile.as_approval()
             outcome = evaluate(V, self.rule)
             return (
                 self.pair in outcome.pairs
@@ -119,7 +117,7 @@ class SearchOutcome:
 
 def check_favorite_consistency(profile, spec: RuleSpec) -> Optional[Violation]:
     """A winning pair containing no approval winner, if one exists."""
-    V = profile.as_approval() if isinstance(profile, RankedProfile) else profile
+    V = profile.as_approval()
     outcome = evaluate(V, spec)
     winners = V.approval_winners()
     for pair in outcome.pairs:
@@ -220,14 +218,17 @@ def clone_label(labels: Sequence[str], a: int) -> str:
     return lab
 
 
-def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile]:
-    """All extensions adding a clone of `a` adjacent to it in every ranking.
+def clone_extensions(
+    profile: RankedProfile, a: int, splits: Iterable[Sequence]
+) -> Iterator[RankedProfile]:
+    """The extensions adding a clone of `a` adjacent to it in every ranking,
+    one per split.
 
-    The clone gets id m. Per ballot group of integer weight w, any split of
-    the w voters between clone-above and clone-below is enumerated, giving
-    prod(w_g + 1) extensions in deterministic order.
+    The clone gets id m. A split gives, per ballot group of integer weight,
+    how many of its voters rank the clone just above `a`; the rest rank it
+    just below. Each group's two ballots are built once.
     """
-    m, clone = profile.m, profile.m
+    clone = profile.m
     labels = profile.labels + (clone_label(profile.labels, a),)
     variants = []
     for b in profile.ballots:
@@ -240,43 +241,29 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
         above = RankedBallot(b.ranking[:pos] + (clone,) + b.ranking[pos:],
                              approved, 1)
         variants.append((int(b.weight), below, above))
-    ranges = [range(w + 1) for w, _, _ in variants]
-    for counts in itertools.product(*ranges):
+    for counts in splits:
         ballots = []
         for (w, below, above), k in zip(variants, counts):
-            # k voters of the group rank the clone above the original
             if w - k:
                 ballots.append(RankedBallot(below.ranking, below.approved, w - k))
             if k:
                 ballots.append(RankedBallot(above.ranking, above.approved, k))
-        yield RankedProfile(m + 1, ballots, labels)
+        yield RankedProfile(clone + 1, ballots, labels)
+
+
+def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile]:
+    """All extensions adding a clone of `a` adjacent to it in every ranking.
+
+    Per ballot group of integer weight w, any split of the w voters between
+    clone-above and clone-below is enumerated, giving prod(w_g + 1)
+    extensions in deterministic order.
+    """
+    splits = itertools.product(*(range(int(b.weight) + 1) for b in profile.ballots))
+    yield from clone_extensions(profile, a, splits)
 
 
 def cloning_space(profile: RankedProfile) -> int:
     return math.prod(int(b.weight) + 1 for b in profile.ballots)
-
-
-def _sampled_extensions(profile: RankedProfile, a: int, budget: SearchBudget):
-    """Random clone-placement splits, without materializing the full space."""
-    rng = random.Random(budget.seed)
-    m, clone = profile.m, profile.m
-    labels = profile.labels + (clone_label(profile.labels, a),)
-    for _ in range(budget.samples):
-        ballots = []
-        for b in profile.ballots:
-            w = int(b.weight)
-            pos = b.position(a)
-            approved = b.approved | {clone} if a in b.approved else b.approved
-            k = rng.randint(0, w)
-            if w - k:
-                ballots.append(
-                    RankedBallot(b.ranking[: pos + 1] + (clone,) + b.ranking[pos + 1:],
-                                 approved, w - k))
-            if k:
-                ballots.append(
-                    RankedBallot(b.ranking[:pos] + (clone,) + b.ranking[pos:],
-                                 approved, k))
-        yield RankedProfile(m + 1, ballots, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +286,23 @@ def find_monotonicity_violation(
     budget: SearchBudget = SearchBudget(),
     consistent: bool = True,
 ) -> SearchOutcome:
-    """A winner `a` and an a-improvement after which `a` no longer wins."""
+    """A winner `a` and an a-improvement after which `a` no longer wins.
+
+    A sampled budget evaluates at most `budget.samples` improvements, in the
+    same deterministic order (its seed is unused), and is inconclusive when
+    that cuts the enumeration short.
+    """
     _require_voter_groups(profile)
     base = avr(profile, spec)
     bound = len(base.winners) * len(profile.ballots) * (2 * profile.m + 1)
     if budget.mode == "exhaustive" and bound > budget.max_space:
         raise InputError(f"improvement space ~{bound} exceeds budget; sample instead")
+    limit = budget.samples if budget.mode == "sampled" else math.inf
     searched = 0
     for a in sorted(base.winners):
         for i, ballot in a_improvements(profile, a, consistent):
+            if searched >= limit:
+                return SearchOutcome(None, False, searched)
             improved = profile.replace_ballot(i, ballot)
             searched += 1
             after = avr(improved, spec)
@@ -477,7 +472,10 @@ def find_clone_violation(
     if budget.mode == "sampled" or space > budget.max_space:
         if budget.mode == "exhaustive":
             raise InputError(f"cloning space {space} exceeds budget; sample instead")
-        extensions = _sampled_extensions(profile, a, budget)
+        rng = random.Random(budget.seed)
+        splits = ([rng.randint(0, int(b.weight)) for b in profile.ballots]
+                  for _ in range(budget.samples))
+        extensions = clone_extensions(profile, a, splits)
         exhausted = False
     searched = 0
     axiom = WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS
@@ -524,16 +522,9 @@ def random_ranked_profile(
 
 GRID_AXIOMS = (PARETO, MONOTONICITY, STRATEGY_PROOFNESS, WEAK_CLONE_PROOFNESS)
 
-GRID_RULES: tuple[tuple[str, RuleSpec], ...] = (
-    ("mav", RuleSpec.alpha_av(0)),
-    ("spav", RuleSpec.alpha_seq(Fraction(1, 2))),
-    ("sphr", RuleSpec.seq_phragmen()),
-    ("enephr", RuleSpec.enestrom_phragmen(beta=Fraction(1, 3))),
-    ("sccav", RuleSpec.alpha_seq(1)),
-    ("pav", RuleSpec.alpha_av(Fraction(1, 2))),
-    ("ccav", RuleSpec.alpha_av(1)),
-    ("sav", RuleSpec.sav()),
-    ("triv", RuleSpec.triv()),
+GRID_RULES: tuple[tuple[str, RuleSpec], ...] = tuple(
+    (name, RuleSpec.named(name))
+    for name in ("mav", "spav", "sphr", "enephr", "sccav", "pav", "ccav", "sav", "triv")
 )
 
 # cells expected to hold on every admissible profile

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from avrunoff import axioms as axioms_mod
 from avrunoff import fileio, rules, spatial
-from avrunoff.profiles import InputError, RankedProfile
+from avrunoff.profiles import InputError, RankedProfile, exact
 from avrunoff.rules import CandidatePair, RuleSpec
 from avrunoff.runoff import avr
 
@@ -155,8 +155,7 @@ def _fmt_score(score) -> str:
 
 
 def cmd_score(args) -> int:
-    profile = _load_document(args.profile).profile
-    V = profile.as_approval() if isinstance(profile, RankedProfile) else profile
+    V = _load_document(args.profile).profile.as_approval()
     names = [n.strip() for n in args.rule.split(",") if n.strip()]
     outcomes = {}
     for name in names:
@@ -197,8 +196,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_finalists(args) -> int:
-    profile = _load_document(args.profile).profile
-    V = profile.as_approval() if isinstance(profile, RankedProfile) else profile
+    V = _load_document(args.profile).profile.as_approval()
     outcome = rules.evaluate(V, _resolve_rule(args))
     _emit(args, "\n".join(_fmt_pair(p, V.labels) for p in outcome.pairs) + "\n")
     return EXIT_OK
@@ -212,8 +210,9 @@ def cmd_winner(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    profile = _load_document(args.profile).profile
-    V = profile.as_approval() if isinstance(profile, RankedProfile) else profile
+    if args.points < 2:
+        raise InputError("--points must be at least 2")
+    V = _load_document(args.profile).profile.as_approval()
     breakpoints = rules.alpha_av_breakpoints(V)
     points = sorted(
         {Fraction(i, args.points - 1) for i in range(args.points)} | set(breakpoints)
@@ -277,8 +276,8 @@ def cmd_simulate(args) -> int:
         candidate_placement=args.placement,
         seed=args.seed,
     )
-    ds = [float(Fraction(x)) for x in args.d.split(",") if x.strip()]
-    alphas = [Fraction(x) for x in args.alphas.split(",") if x.strip()]
+    ds = [float(exact(x, "radius")) for x in args.d.split(",") if x.strip()]
+    alphas = [exact(x, "alpha") for x in args.alphas.split(",") if x.strip()]
     rows = spatial.sweep(config, alphas, ds)
     _emit(args, spatial.sweep_csv(rows))
     return EXIT_OK
@@ -332,10 +331,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_network(args) -> int:
-    profile = _load_document(args.profile).profile
-    V = profile.as_approval() if isinstance(profile, RankedProfile) else profile
-    graph = fileio.jaccard_affinity(V)
-    _emit(args, fileio.export_network(graph, Fraction(args.threshold), args.format))
+    graph = fileio.jaccard_affinity(_load_document(args.profile).profile.as_approval())
+    _emit(args, fileio.export_network(graph, args.threshold, args.format))
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from avrunoff.profiles import (
     InputError,
     RankedBallot,
     RankedProfile,
+    exact,
 )
 
 Profile = Union[ApprovalProfile, RankedProfile]
@@ -220,13 +221,7 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
     if total == 0:
         raise InputError("debiasing zeroed out the profile")
     scale = n / total
-    if isinstance(profile, RankedProfile):
-        ballots = [RankedBallot(b.ranking, b.approved, w * scale)
-                   for b, w in zip(profile.ballots, new_weights)]
-        return RankedProfile(profile.m, ballots, profile.labels)
-    ballots = [ApprovalBallot(b.approved, w * scale)
-               for b, w in zip(profile.ballots, new_weights)]
-    return ApprovalProfile(profile.m, ballots, profile.labels)
+    return profile.with_weights(w * scale for w in new_weights)
 
 
 @dataclass(frozen=True)
@@ -259,7 +254,7 @@ def jaccard_affinity(profile: ApprovalProfile) -> AffinityGraph:
 
 def export_network(graph: AffinityGraph, threshold, fmt: str = "dot") -> str:
     """Emit nodes plus the edges strictly above `threshold`, deterministically."""
-    threshold = Fraction(threshold) if not isinstance(threshold, float) else Fraction(str(threshold))
+    threshold = exact(threshold, "threshold")
     if not 0 <= threshold <= 1:
         raise InputError("threshold must lie in [0, 1]")
     kept = sorted((pair, w) for pair, w in graph.edges.items() if w > threshold)
@@ -303,5 +298,5 @@ def load_target_shares(text: str, labels: Sequence[str]) -> dict[int, Fraction]:
     for lab, value in raw.items():
         if lab not in ids:
             raise InputError(f"target for unknown candidate {lab!r}")
-        shares[ids[lab]] = Fraction(str(value))
+        shares[ids[lab]] = exact(str(value), "target share")
     return shares

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -29,14 +29,22 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple(letters[i] if i < 26 else f"c{i}" for i in range(m))
 
 
+def exact(x, what: str = "value") -> Fraction:
+    """Parse `x` as an exact rational.
+
+    Floats, malformed text and zero denominators raise InputError.
+    """
+    if isinstance(x, float):
+        raise InputError(f"float {what} {x!r} not allowed; pass int, str or Fraction")
+    try:
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {what} {x!r}") from exc
+
+
 def as_weight(w) -> Fraction:
     """Coerce to an exact nonnegative rational; floats are rejected."""
-    if isinstance(w, float):
-        raise InputError(f"float weight {w!r} not allowed; pass int, str or Fraction")
-    try:
-        wf = Fraction(w)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"bad weight {w!r}") from exc
+    wf = exact(w, "weight")
     if wf < 0:
         raise InputError(f"negative weight {w!r}")
     return wf
@@ -119,21 +127,18 @@ def _check_labels(m: int, labels) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ApprovalProfile:
-    """A weighted multiset of approval ballots over candidates 0..m-1."""
+class _Profile:
+    """Weighted ballot groups over candidates 0..m-1: what approval and
+    ranked profiles share."""
 
     m: int
-    ballots: tuple[ApprovalBallot, ...]
+    ballots: tuple
     labels: tuple[str, ...] = None
 
-    def __init__(self, m: int, ballots: Iterable[ApprovalBallot], labels=None):
+    def __init__(self, m: int, ballots: Iterable, labels=None):
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "ballots", tuple(ballots))
         object.__setattr__(self, "labels", _check_labels(self.m, labels))
-
-    @property
-    def candidates(self) -> list[Candidate]:
-        return [Candidate(i, lab) for i, lab in enumerate(self.labels)]
 
     @property
     def total_weight(self) -> Fraction:
@@ -156,6 +161,31 @@ class ApprovalProfile:
             cached = (ints, denom)
             self.__dict__["_iw"] = cached
         return cached
+
+    def with_weights(self, weights: Iterable):
+        """The same ballot groups, in order, with new weights."""
+        return type(self)(
+            self.m,
+            [replace(b, weight=w) for b, w in zip(self.ballots, weights)],
+            self.labels,
+        )
+
+    def scaled(self, factor):
+        factor = exact(factor, "factor")
+        return self.with_weights(b.weight * factor for b in self.ballots)
+
+
+class ApprovalProfile(_Profile):
+    """A weighted multiset of approval ballots over candidates 0..m-1."""
+
+    ballots: tuple[ApprovalBallot, ...]
+
+    @property
+    def candidates(self) -> list[Candidate]:
+        return [Candidate(i, lab) for i, lab in enumerate(self.labels)]
+
+    def as_approval(self) -> "ApprovalProfile":
+        return self
 
     def approval_score(self, c: int) -> Fraction:
         """Total weight of ballots approving c."""
@@ -218,14 +248,6 @@ class ApprovalProfile:
         labels = tuple(self.labels[perm[i]] for i in range(self.m))
         return ApprovalProfile(self.m, ballots, labels)
 
-    def scaled(self, factor) -> "ApprovalProfile":
-        factor = Fraction(factor)
-        return ApprovalProfile(
-            self.m,
-            [ApprovalBallot(b.approved, b.weight * factor) for b in self.ballots],
-            self.labels,
-        )
-
     def canonical(self) -> "ApprovalProfile":
         """Merge equal ballots and sort groups; drops zero-weight groups."""
         merged: dict[frozenset[int], Fraction] = {}
@@ -238,30 +260,14 @@ class ApprovalProfile:
         return ApprovalProfile(self.m, [ApprovalBallot(a, w) for a, w in groups], self.labels)
 
 
-@dataclass(frozen=True)
-class RankedProfile:
+class RankedProfile(_Profile):
     """A weighted multiset of ranked ballots with approved sets.
 
     Projects onto an :class:`ApprovalProfile` for the first-round rules;
     rankings feed the pairwise majority comparisons of the runoff.
     """
 
-    m: int
     ballots: tuple[RankedBallot, ...]
-    labels: tuple[str, ...] = None
-
-    def __init__(self, m: int, ballots: Iterable[RankedBallot], labels=None):
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "ballots", tuple(ballots))
-        object.__setattr__(self, "labels", _check_labels(self.m, labels))
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum((b.weight for b in self.ballots), Fraction(0))
-
-    def _require_candidate(self, c: int) -> None:
-        if not (isinstance(c, int) and 0 <= c < self.m):
-            raise InputError(f"unknown candidate id {c!r} (m={self.m})")
 
     def as_approval(self) -> ApprovalProfile:
         return ApprovalProfile(
@@ -269,15 +275,6 @@ class RankedProfile:
             [ApprovalBallot(b.approved, b.weight) for b in self.ballots],
             self.labels,
         )
-
-    def _int_weights(self) -> tuple[list[int], int]:
-        cached = self.__dict__.get("_iw")
-        if cached is None:
-            denom = math.lcm(*(b.weight.denominator for b in self.ballots)) if self.ballots else 1
-            ints = [int(b.weight * denom) for b in self.ballots]
-            cached = (ints, denom)
-            self.__dict__["_iw"] = cached
-        return cached
 
     def majority_margin(self, a: int, b: int) -> Fraction:
         """Weight preferring a over b minus weight preferring b over a."""
@@ -357,14 +354,6 @@ class RankedProfile:
         ]
         labels = tuple(self.labels[perm[i]] for i in range(self.m))
         return RankedProfile(self.m, ballots, labels)
-
-    def scaled(self, factor) -> "RankedProfile":
-        factor = Fraction(factor)
-        return RankedProfile(
-            self.m,
-            [RankedBallot(b.ranking, b.approved, b.weight * factor) for b in self.ballots],
-            self.labels,
-        )
 
     def canonical(self) -> "RankedProfile":
         merged: dict[tuple[tuple[int, ...], frozenset[int]], Fraction] = {}

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal, Mapping, NamedTuple, Optional
+from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union
 
-from avrunoff.profiles import ApprovalProfile, InputError
+from avrunoff.profiles import ApprovalProfile, InputError, exact
 
 
 class CandidatePair(NamedTuple):
@@ -34,27 +34,56 @@ class CandidatePair(NamedTuple):
         return frozenset(self)
 
 
-ALPHA_AV = "alpha-av"
-ALPHA_SEQ = "alpha-seq"
-SEQ_PHRAGMEN = "seq-phragmen"
-ENESTROM_PHRAGMEN = "enestrom-phragmen"
-SAV_KIND = "sav"
-TRIV_KIND = "triv"
-CCAV_PLUS_KIND = "ccav-plus"
+class Param(NamedTuple):
+    """A rule parameter: the RuleSpec field it sets and its exact range."""
+
+    field: str
+    label: str  # its name in error messages
+    lo: Fraction
+    hi: Optional[Fraction]  # None: no upper bound
+    display: str  # how RuleSpec.describe shows a spec by this parameter
+
+    def check(self, value) -> Fraction:
+        value = exact(value, "parameter")
+        if value < self.lo or (self.hi is not None and value > self.hi):
+            bound = f"be >= {self.lo}" if self.hi is None else f"lie in [{self.lo}, {self.hi}]"
+            raise InputError(f"{self.label} must {bound}")
+        return value
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise InputError(f"float parameter {x!r} not allowed; pass int, str or Fraction")
-    return Fraction(x)
+ALPHA = Param("alpha", "alpha", Fraction(0), None, "alpha-av:{}")
+SEQ_ALPHA = Param("alpha", "sequential alpha", Fraction(0), Fraction(1), "alpha-seq:{}")
+QUOTA = Param("quota", "quota", Fraction(0), None, "enephr[Q={}]")
+BETA = Param("beta", "beta", Fraction(0), Fraction(1), "enephr[beta={}]")
+
+
+def _one_of(params: tuple[Param, ...], values) -> tuple[Param, Fraction]:
+    """The one parameter given among `params`, with its checked value."""
+    given = [(p, v) for p, v in zip(params, values) if v is not None]
+    if len(given) != 1:
+        raise InputError("give exactly one of " + " or ".join(p.field for p in params))
+    param, value = given[0]
+    return param, param.check(value)
+
+
+def _for_kind(kind: str):
+    """A RuleSpec constructor for one kind, taking its parameters in order
+    or by name."""
+
+    def make(cls, *args, **kwargs) -> "RuleSpec":
+        fields = [p.field for p in _KINDS[kind].params]
+        return cls(kind, **dict(zip(fields, args)), **kwargs)
+
+    return classmethod(make)
 
 
 @dataclass(frozen=True)
 class RuleSpec:
     """Which rule to run, with its exact-rational parameters.
 
-    For the quota rule, exactly one of `quota` (absolute) or `beta`
-    (fraction of the total ballot weight) is set.
+    A kind with parameters (see RULES) takes exactly one of them; for the
+    quota rule that is `quota` (absolute) or `beta` (fraction of the total
+    ballot weight).
     """
 
     kind: str
@@ -62,110 +91,55 @@ class RuleSpec:
     quota: Optional[Fraction] = None
     beta: Optional[Fraction] = None
 
-    @classmethod
-    def alpha_av(cls, alpha) -> "RuleSpec":
-        alpha = _as_fraction(alpha)
-        if alpha < 0:
-            raise InputError("alpha must be >= 0")
-        return cls(ALPHA_AV, alpha=alpha)
+    def __post_init__(self):
+        try:
+            params = _KINDS[self.kind].params
+        except KeyError:
+            raise InputError(f"unknown rule kind {self.kind!r}") from None
+        for field in ("alpha", "quota", "beta"):
+            if getattr(self, field) is not None and all(p.field != field for p in params):
+                raise InputError(f"rule kind {self.kind!r} takes no {field}")
+        if params:
+            param, value = _one_of(params, [getattr(self, p.field) for p in params])
+            object.__setattr__(self, param.field, value)
 
-    @classmethod
-    def alpha_seq(cls, alpha) -> "RuleSpec":
-        alpha = _as_fraction(alpha)
-        if not 0 <= alpha <= 1:
-            raise InputError("sequential alpha must lie in [0, 1]")
-        return cls(ALPHA_SEQ, alpha=alpha)
-
-    @classmethod
-    def seq_phragmen(cls) -> "RuleSpec":
-        return cls(SEQ_PHRAGMEN)
-
-    @classmethod
-    def enestrom_phragmen(cls, quota=None, beta=None) -> "RuleSpec":
-        if (quota is None) == (beta is None):
-            raise InputError("give exactly one of quota or beta")
-        if quota is not None:
-            quota = _as_fraction(quota)
-            if quota < 0:
-                raise InputError("quota must be >= 0")
-            return cls(ENESTROM_PHRAGMEN, quota=quota)
-        beta = _as_fraction(beta)
-        if not 0 <= beta <= 1:
-            raise InputError("beta must lie in [0, 1]")
-        return cls(ENESTROM_PHRAGMEN, beta=beta)
-
-    @classmethod
-    def sav(cls) -> "RuleSpec":
-        return cls(SAV_KIND)
-
-    @classmethod
-    def triv(cls) -> "RuleSpec":
-        return cls(TRIV_KIND)
-
-    @classmethod
-    def ccav_plus(cls) -> "RuleSpec":
-        return cls(CCAV_PLUS_KIND)
+    alpha_av = _for_kind("alpha-av")
+    alpha_seq = _for_kind("alpha-seq")
+    seq_phragmen = _for_kind("seq-phragmen")
+    enestrom_phragmen = _for_kind("enestrom-phragmen")
 
     @classmethod
     def named(cls, name: str, quota_beta=None) -> "RuleSpec":
-        """Resolve a CLI-style rule name (mav, pav, alpha-av:1/4, ...)."""
+        """Resolve a CLI-style rule name (mav, pav, alpha-av:1/4, ...).
+
+        `kind:<r>` names a kind with one parameter; `quota_beta` replaces
+        the beta of a rule that has one.
+        """
         name = name.strip().lower()
-        if name.startswith("alpha-av:"):
-            return cls.alpha_av(name.split(":", 1)[1])
-        if name.startswith("alpha-seq:"):
-            return cls.alpha_seq(name.split(":", 1)[1])
-        if name == "enephr":
-            beta = Fraction(1, 3) if quota_beta is None else _as_fraction(quota_beta)
-            return cls.enestrom_phragmen(beta=beta)
+        kind, colon, value = name.partition(":")
+        if colon and kind in _KINDS and len(_KINDS[kind].params) == 1:
+            return cls(kind, **{_KINDS[kind].params[0].field: value})
         try:
-            return _NAMED_RULES[name]()
+            rule = _NAMES[name]
         except KeyError:
             raise InputError(f"unknown rule name {name!r}") from None
+        values = dict(rule.values)
+        if quota_beta is not None and BETA in rule.params:
+            values["beta"] = quota_beta
+        return cls(rule.kind, **values)
 
     def describe(self) -> str:
-        if self.kind == ALPHA_AV:
-            return _ALPHA_AV_NAMES.get(self.alpha, f"alpha-av:{self.alpha}")
-        if self.kind == ALPHA_SEQ:
-            return _ALPHA_SEQ_NAMES.get(self.alpha, f"alpha-seq:{self.alpha}")
-        if self.kind == ENESTROM_PHRAGMEN:
-            if self.beta is not None:
-                return f"enephr[beta={self.beta}]"
-            return f"enephr[Q={self.quota}]"
-        return {SEQ_PHRAGMEN: "sphr", SAV_KIND: "sav", TRIV_KIND: "triv",
-                CCAV_PLUS_KIND: "ccav+"}[self.kind]
+        """The name of the RULES row this spec equals, else its parameter
+        as its Param shows it; a row with a beta always shows its beta."""
+        name = _DISPLAY.get(self)
+        if name is not None:
+            return name
+        param = next(p for p in _KINDS[self.kind].params if getattr(self, p.field) is not None)
+        return param.display.format(getattr(self, param.field))
 
 
-_ALPHA_AV_NAMES = {Fraction(0): "mav", Fraction(1, 2): "pav", Fraction(1): "ccav",
-                   Fraction(2): "2av"}
-_ALPHA_SEQ_NAMES = {Fraction(0): "mav", Fraction(1, 2): "spav", Fraction(1): "sccav"}
-
-_NAMED_RULES = {
-    "mav": lambda: RuleSpec.alpha_av(0),
-    "av": lambda: RuleSpec.alpha_av(0),
-    "pav": lambda: RuleSpec.alpha_av(Fraction(1, 2)),
-    "ccav": lambda: RuleSpec.alpha_av(1),
-    "2av": lambda: RuleSpec.alpha_av(2),
-    "spav": lambda: RuleSpec.alpha_seq(Fraction(1, 2)),
-    "sccav": lambda: RuleSpec.alpha_seq(1),
-    "sphr": lambda: RuleSpec.seq_phragmen(),
-    "sav": lambda: RuleSpec.sav(),
-    "triv": lambda: RuleSpec.triv(),
-    "ccav+": lambda: RuleSpec.ccav_plus(),
-}
-
-RULE_NAMES = tuple(sorted(_NAMED_RULES)) + ("enephr", "alpha-av:<r>", "alpha-seq:<r>")
-
-MAV = RuleSpec.alpha_av(0)
-PAV = RuleSpec.alpha_av(Fraction(1, 2))
-CCAV = RuleSpec.alpha_av(1)
-TWO_AV = RuleSpec.alpha_av(2)
-SPAV = RuleSpec.alpha_seq(Fraction(1, 2))
-SCCAV = RuleSpec.alpha_seq(1)
-SPHR = RuleSpec.seq_phragmen()
-ENEPHR = RuleSpec.enestrom_phragmen(beta=Fraction(1, 3))
-SAV = RuleSpec.sav()
-TRIV = RuleSpec.triv()
-CCAV_PLUS = RuleSpec.ccav_plus()
+# a pair's score: one number, or (coverage, approval sum) for ccav+
+Score = Union[Fraction, tuple[Fraction, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -179,7 +153,7 @@ class RuleOutcome:
     """
 
     pairs: tuple[CandidatePair, ...]
-    score_table: Mapping[CandidatePair, Fraction]
+    score_table: Mapping[CandidatePair, Score]
     objective_sense: Literal["max", "min"] = "max"
     first_stage: Optional[tuple[int, ...]] = None
     branch_alphas: Optional[Mapping[int, Fraction]] = None
@@ -210,9 +184,7 @@ def all_pairs(profile: ApprovalProfile) -> list[CandidatePair]:
 def alpha_av(profile: ApprovalProfile, alpha) -> RuleOutcome:
     """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
     _require_two(profile)
-    alpha = _as_fraction(alpha)
-    if alpha < 0:
-        raise InputError("alpha must be >= 0")
+    alpha = ALPHA.check(alpha)
     scores = profile.score_vector()
     joint = profile.joint_matrix()
     table = {
@@ -236,9 +208,7 @@ def alpha_seq_av(profile: ApprovalProfile, alpha) -> RuleOutcome:
     unioned. Table entries carry the full pair score S(x1) + S(y) - alpha*S(x1,y).
     """
     _require_two(profile)
-    alpha = _as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError("sequential alpha must lie in [0, 1]")
+    alpha = SEQ_ALPHA.check(alpha)
     scores, joint, winners = _seq_branches(profile)
     return _seq_alpha_outcome(profile, scores, joint, winners, {w: alpha for w in winners})
 
@@ -271,10 +241,9 @@ def enestrom_phragmen(profile: ApprovalProfile, quota=None, beta=None) -> RuleOu
     A zero-score first finalist (all-empty profile) uses discount 1.
     """
     _require_two(profile)
-    if (quota is None) == (beta is None):
-        raise InputError("give exactly one of quota or beta")
+    param, value = _one_of((QUOTA, BETA), (quota, beta))
     n = profile.total_weight
-    q = _as_fraction(beta) * n if beta is not None else _as_fraction(quota)
+    q = value * n if param is BETA else value
     if not 0 <= q <= n:
         raise InputError(f"quota {q} outside [0, {n}]")
     scores, joint, winners = _seq_branches(profile)
@@ -361,22 +330,64 @@ def ccav_plus(profile: ApprovalProfile) -> RuleOutcome:
 
 
 def evaluate(profile: ApprovalProfile, spec: RuleSpec) -> RuleOutcome:
-    """Dispatch a RuleSpec to the matching rule."""
-    if spec.kind == ALPHA_AV:
-        return alpha_av(profile, spec.alpha)
-    if spec.kind == ALPHA_SEQ:
-        return alpha_seq_av(profile, spec.alpha)
-    if spec.kind == SEQ_PHRAGMEN:
-        return seq_phragmen(profile)
-    if spec.kind == ENESTROM_PHRAGMEN:
-        return enestrom_phragmen(profile, quota=spec.quota, beta=spec.beta)
-    if spec.kind == SAV_KIND:
-        return sav(profile)
-    if spec.kind == TRIV_KIND:
-        return triv(profile)
-    if spec.kind == CCAV_PLUS_KIND:
-        return ccav_plus(profile)
-    raise InputError(f"unknown rule kind {spec.kind!r}")
+    """Run the rule of `spec` on `profile`."""
+    rule = _KINDS[spec.kind]
+    return rule.fn(profile, **{p.field: getattr(spec, p.field) for p in rule.params})
+
+
+class Rule(NamedTuple):
+    """One row of RULES: a named rule, the kind of RuleSpec it is and the
+    function that runs it."""
+
+    name: str
+    aliases: tuple[str, ...]
+    kind: str
+    fn: Callable[..., RuleOutcome]
+    params: tuple[Param, ...] = ()  # the kind's parameters
+    values: Mapping[str, Fraction] = {}  # this rule's parameter values
+
+
+# Every rule the package names. Rows of one kind share its function and
+# parameters; the rest of the module (RuleSpec.named, describe, evaluate,
+# RULE_NAMES and the constants below) is read from this table, so adding a
+# rule is one row. The beta of a rule with one is set by `--quota-beta`, so
+# such a rule is shown with its beta.
+RULES: tuple[Rule, ...] = (
+    Rule("mav", ("av",), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(0)}),
+    Rule("pav", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(1, 2)}),
+    Rule("ccav", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(1)}),
+    Rule("2av", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(2)}),
+    Rule("spav", (), "alpha-seq", alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1, 2)}),
+    Rule("sccav", (), "alpha-seq", alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1)}),
+    Rule("sphr", (), "seq-phragmen", seq_phragmen),
+    Rule("enephr", (), "enestrom-phragmen", enestrom_phragmen, (QUOTA, BETA),
+         {"beta": Fraction(1, 3)}),
+    Rule("sav", (), "sav", sav),
+    Rule("triv", (), "triv", triv),
+    Rule("ccav+", (), "ccav-plus", ccav_plus),
+)
+
+_KINDS = {rule.kind: rule for rule in RULES}
+_NAMES = {name: rule for rule in RULES for name in (rule.name, *rule.aliases)}
+_DISPLAY = {RuleSpec.named(r.name): r.name for r in RULES if BETA not in r.params}
+
+RULE_NAMES = (
+    tuple(sorted(name for name, rule in _NAMES.items() if BETA not in rule.params))
+    + tuple(rule.name for rule in RULES if BETA in rule.params)
+    + tuple(f"{kind}:<r>" for kind, rule in _KINDS.items() if len(rule.params) == 1)
+)
+
+MAV = RuleSpec.named("mav")
+PAV = RuleSpec.named("pav")
+CCAV = RuleSpec.named("ccav")
+TWO_AV = RuleSpec.named("2av")
+SPAV = RuleSpec.named("spav")
+SCCAV = RuleSpec.named("sccav")
+SPHR = RuleSpec.named("sphr")
+ENEPHR = RuleSpec.named("enephr")
+SAV = RuleSpec.named("sav")
+TRIV = RuleSpec.named("triv")
+CCAV_PLUS = RuleSpec.named("ccav+")
 
 
 def alpha_av_breakpoints(profile: ApprovalProfile, lo=Fraction(0), hi=Fraction(1)) -> list[Fraction]:
@@ -387,7 +398,7 @@ def alpha_av_breakpoints(profile: ApprovalProfile, lo=Fraction(0), hi=Fraction(1
     differs on its two sides.
     """
     _require_two(profile)
-    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    lo, hi = exact(lo, "parameter"), exact(hi, "parameter")
     scores = profile.score_vector()
     joint = profile.joint_matrix()
     lines = {

@@ -287,18 +287,8 @@ CLONE_CHAIN = {
 
 def uniform_clone_extension(profile: RankedProfile, a: int, clone_above: bool) -> RankedProfile:
     """Extension placing the clone on the same side of `a` for every voter."""
-    m, clone = profile.m, profile.m
-    labels = profile.labels + (axioms.clone_label(profile.labels, a),)
-    ballots = []
-    for b in profile.ballots:
-        pos = b.position(a)
-        approved = b.approved | {clone} if a in b.approved else b.approved
-        if clone_above:
-            ranking = b.ranking[:pos] + (clone,) + b.ranking[pos:]
-        else:
-            ranking = b.ranking[: pos + 1] + (clone,) + b.ranking[pos + 1:]
-        ballots.append(RankedBallot(ranking, approved, b.weight))
-    return RankedProfile(m + 1, ballots, labels)
+    split = [int(b.weight) if clone_above else 0 for b in profile.ballots]
+    return next(axioms.clone_extensions(profile, a, [split]))
 
 
 def grid_rule(name: str) -> RuleSpec:

@@ -7,6 +7,7 @@ the Monte-Carlo criterion uses the stated 0.05 band.
 
 import random
 import time
+import zlib
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -106,7 +107,7 @@ def test_criterion_05_axiom_grid():
                 if (name, axiom) in GRID_EXPECTED:
                     report = run_grid_cell(
                         name, spec, axiom, 500,
-                        seed=91000 + 37 * GRID_AXIOMS.index(axiom) + hash(name) % 101,
+                        seed=91000 + 37 * GRID_AXIOMS.index(axiom) + zlib.crc32(name.encode()) % 101,
                     )
                     assert report.profiles_checked == 500
                     assert not report.violations, (name, axiom, report.violations[:1])

@@ -134,6 +134,15 @@ class TestAxioms:
         assert code == 3
         assert "inconclusive" in out
 
+    @pytest.mark.parametrize("samples,code,status", [
+        ("10", 3, "inconclusive"), ("37", 0, "none"), ("100", 0, "none"),
+    ])
+    def test_sampled_monotonicity_honours_the_budget(self, capsys, samples, code, status):
+        got, out, _ = run(capsys, "axioms", "--profile", SURVEY, "--axiom", "monotonicity",
+                          "--rule", "mav", "--samples", samples, "--format", "json")
+        assert got == code
+        assert json.loads(out)["mav/monotonicity"]["status"] == status
+
     def test_json_format(self, capsys, tmp_path):
         profile = tmp_path / "p.avr"
         profile.write_text("candidates: a b\n1 * a | b\n")
@@ -198,3 +207,15 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("network", "--profile", SPECTRUM, "--threshold", "abc"),
+        ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:abc"),
+        ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/0"),
+        ("simulate", "--d", "abc"),
+        ("sweep-alpha", "--profile", SPECTRUM, "--points", "1"),
+    ])
+    def test_malformed_number_is_an_input_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
