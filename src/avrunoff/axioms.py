@@ -1,10 +1,10 @@
-"""Axiom checkers with exhaustive or sampled counterexample search.
+"""Axiom checkers with exact or sampled counterexample search.
 
 Each axiom is checked on a concrete profile. Searches over single-voter
-transformations (improvements, ballot deviations, candidate cloning)
-enumerate in a fixed deterministic order, so the first hit is the
-lexicographically smallest witness. A truncated search that finds nothing
-reports "inconclusive", never "no violation".
+transformations (improvements, ballot deviations) and candidate cloning
+return the first hit of a fixed deterministic order, the lexicographically
+smallest witness. Only the clone search is exact at any size; a sampled or
+truncated search that finds nothing reports "inconclusive", never "none".
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Exhaustive below `max_space`; otherwise seeded uniform sampling."""
+    """The budget of the monotonicity and manipulation searches: exhaustive
+    up to `max_space` cases, or sampled, evaluating at most `samples`."""
 
     mode: str = "exhaustive"  # or "sampled"
     samples: int = 2000
@@ -93,6 +94,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "sampled"):
             raise InputError(f"unknown budget mode {self.mode!r}")
+        if self.samples < 1:
+            raise InputError(f"samples must be at least 1, not {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -260,10 +263,6 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
     """
     splits = itertools.product(*(range(int(b.weight) + 1) for b in profile.ballots))
     yield from clone_extensions(profile, a, splits)
-
-
-def cloning_space(profile: RankedProfile) -> int:
-    return math.prod(int(b.weight) + 1 for b in profile.ballots)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +451,19 @@ def find_clone_violation(
     profile: RankedProfile,
     a: int,
     spec: RuleSpec,
-    budget: SearchBudget = SearchBudget(),
     weak: bool = False,
 ) -> SearchOutcome:
     """A cloning extension of `a` that changes other candidates' fates or
-    breaks the original/clone equivalence.
+    breaks the original/clone equivalence: the first in `cloning_extensions`
+    order, found from at most three extensions.
+
+    All extensions share one approval projection, since the clone is
+    approved exactly where `a` is, and margin(clone, c) = margin(a, c) for
+    every other c, since the clone sits next to `a`. So the winners depend
+    only on the sign of margin(a, clone) = W - 2K, for W voters of whom K
+    rank the clone above `a`. The first split with K = 0, with K = W/2 (W
+    even) and with K = W//2 + 1 (if at most W) stands for its sign, and the
+    first violation among them, in enumeration order, is the first of all.
 
     With weak=True the check applies only on profiles where no candidate is
     approved in every non-empty ballot; outside that domain the result is a
@@ -466,21 +473,16 @@ def find_clone_violation(
     if weak and not in_weak_clone_domain(profile):
         return SearchOutcome(None, True, 0, vacuous=True)
     base = avr(profile, spec).winners
-    space = cloning_space(profile)
-    extensions = cloning_extensions(profile, a)
-    exhausted = True
-    if budget.mode == "sampled" or space > budget.max_space:
-        if budget.mode == "exhaustive":
-            raise InputError(f"cloning space {space} exceeds budget; sample instead")
-        rng = random.Random(budget.seed)
-        splits = ([rng.randint(0, int(b.weight)) for b in profile.ballots]
-                  for _ in range(budget.samples))
-        extensions = clone_extensions(profile, a, splits)
-        exhausted = False
-    searched = 0
+    weights = [int(b.weight) for b in profile.ballots]
+    W = sum(weights)
+    signs = (0, W // 2, W // 2 + 1) if W % 2 == 0 else (0, W // 2 + 1)
+    # the first split with K above, in enumeration (lexicographic) order,
+    # gives each group what the groups after it cannot hold
+    splits = sorted({tuple(min(w, max(0, K - (W - upto))) for w, upto in
+                           zip(weights, itertools.accumulate(weights)))
+                     for K in signs if K <= W})
     axiom = WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS
-    for extended in extensions:
-        searched += 1
+    for searched, extended in enumerate(clone_extensions(profile, a, splits), 1):
         after = avr(extended, spec).winners
         if not clone_conditions_hold(base, after, a, extended.m - 1):
             return SearchOutcome(
@@ -494,10 +496,10 @@ def find_clone_violation(
                     candidate=a,
                     note=f"cloning {profile.labels[a]} changes the winner set",
                 ),
-                exhausted,
+                True,
                 searched,
             )
-    return SearchOutcome(None, exhausted, searched)
+    return SearchOutcome(None, True, len(splits))
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +560,13 @@ def check_axiom(
         weak = axiom == WEAK_CLONE_PROOFNESS
         vacuous = True
         searched = 0
-        exhausted = True
         for a in range(profile.m):
-            out = find_clone_violation(profile, a, spec, budget, weak=weak)
+            out = find_clone_violation(profile, a, spec, weak=weak)
             searched += out.searched
-            exhausted = exhausted and out.exhausted
             vacuous = vacuous and out.vacuous
             if out.violation is not None:
-                return SearchOutcome(out.violation, out.exhausted, searched)
-        return SearchOutcome(None, exhausted, searched, vacuous=vacuous)
+                return SearchOutcome(out.violation, True, searched)
+        return SearchOutcome(None, True, searched, vacuous=vacuous)
     raise InputError(f"unknown axiom {axiom!r}")
 
 

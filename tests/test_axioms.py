@@ -247,7 +247,6 @@ class TestCloneSearch:
 
     def test_extension_count(self):
         profile = witnesses.CLONE_TWO_BLOC_WITNESS  # weights 2, 1, 10
-        assert axioms.cloning_space(profile) == 3 * 2 * 11
         assert sum(1 for _ in cloning_extensions(profile, 0)) == 66
 
     def test_extensions_preserve_relative_orders(self):
@@ -309,6 +308,45 @@ class TestCloneSearch:
                         brute_found = True
                 ours = find_clone_violation(profile, a, spec)
                 assert (ours.status == "violation") == brute_found
+
+    def test_sign_class_search_matches_the_full_enumeration(self):
+        # the first hit of a scan over every extension is the witness the
+        # search must return; group weights 0-4 give both parities of W
+        rng = random.Random(71)
+        specs = [spec for _, spec in axioms.GRID_RULES] + [RuleSpec.named("2av")]
+        seen = set()
+        for _ in range(40):
+            m = rng.randint(2, 4)
+            profile = RankedProfile(m, [
+                RankedBallot.from_threshold(rng.sample(range(m), m), rng.randint(0, m),
+                                            rng.randint(0, 4))
+                for _ in range(rng.randint(1, 3))
+            ])
+            seen.add(f"W % 2 == {profile.total_weight % 2}")
+            if any(b.weight == 0 for b in profile.ballots):
+                seen.add("zero-weight group")
+            for spec in specs:
+                base = avr(profile, spec).winners
+                for a in range(m):
+                    first_hit = (None, None)
+                    for ext in cloning_extensions(profile, a):
+                        after = avr(ext, spec).winners
+                        if not axioms.clone_conditions_hold(base, after, a, m):
+                            first_hit = (ext, after)
+                            break
+                    for weak in (False, True):
+                        out = find_clone_violation(profile, a, spec, weak=weak)
+                        seen.add(out.status)
+                        if weak and not in_weak_clone_domain(profile):
+                            assert out.status == "vacuous"
+                        elif first_hit[0] is None:
+                            assert out.status == "none"
+                        else:
+                            assert out.status == "violation"
+                            v = out.violation
+                            assert (v.transformed, v.winners_after) == first_hit
+        assert seen == {"W % 2 == 0", "W % 2 == 1", "zero-weight group",
+                        "none", "violation", "vacuous"}
 
 
 class TestCheckAxiomEntryPoint:

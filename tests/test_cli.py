@@ -143,6 +143,19 @@ class TestAxioms:
         assert got == code
         assert json.loads(out)["mav/monotonicity"]["status"] == status
 
+    @pytest.mark.parametrize("profile,extra,violated", [
+        (SURVEY, (), {"triv"}),
+        (RANKED, ("--samples", "5"), {"mav", "sav", "triv"}),
+    ], ids=["survey", "ranked-sampled"])
+    def test_clone_search_is_exact_at_any_size(self, capsys, profile, extra, violated):
+        code, out, _ = run(capsys, "axioms", "--profile", profile,
+                           "--axiom", "weak-clone-proofness", *extra, "--format", "json")
+        assert code == 0
+        statuses = {key.split("/")[0]: cell["status"] for key, cell in json.loads(out).items()}
+        assert statuses == {name: "violation" if name in violated else "none"
+                            for name in ("mav", "spav", "sphr", "enephr", "sccav",
+                                         "pav", "ccav", "sav", "triv")}
+
     def test_json_format(self, capsys, tmp_path):
         profile = tmp_path / "p.avr"
         profile.write_text("candidates: a b\n1 * a | b\n")
@@ -214,6 +227,10 @@ class TestExitCodes:
         ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/0"),
         ("simulate", "--d", "abc"),
         ("sweep-alpha", "--profile", SPECTRUM, "--points", "1"),
+        ("axioms", "--profile", RANKED, "--rule", "mav", "--axiom", "strategy-proofness",
+         "--samples", "-1"),
+        ("axioms", "--profile", RANKED, "--rule", "mav", "--axiom", "strategy-proofness",
+         "--samples", "0"),
     ])
     def test_malformed_number_is_an_input_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
