@@ -1,10 +1,15 @@
 """Axiom checkers with exact or sampled counterexample search.
 
-Each axiom is checked on a concrete profile. Searches over single-voter
-transformations (improvements, ballot deviations) and candidate cloning
-return the first hit of a fixed deterministic order, the lexicographically
-smallest witness. Only the clone search is exact at any size; a sampled or
-truncated search that finds nothing reports "inconclusive", never "none".
+Each axiom is checked on a concrete profile. Monotonicity, strategy-proofness
+and clone-proofness each judge a transformation of the profile: an
+improvement, a deviation or a cloning. One function per transformation
+(`improvement_violation`, `deviation_violation`, `cloning_violation`) builds
+the transformed profile, runs the runoff on it and returns the `Violation`
+or None; the searches, the stored witnesses and `Violation.verify` all go
+through it. Searches return the first hit of a fixed deterministic order,
+the lexicographically smallest witness. Only the clone search is exact at
+any size; a sampled or truncated search that finds nothing reports
+"inconclusive", never "none".
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from avrunoff.profiles import (
@@ -35,7 +40,8 @@ FAVORITE_CONSISTENCY = "favorite-consistency"
 @dataclass(frozen=True)
 class Violation:
     """A replayable counterexample: the profile, the transformation, and
-    the winner sets observed on both sides."""
+    the winner sets observed on both sides. `ballot` is the improving or
+    deviating ballot of `voter`."""
 
     axiom: str
     rule: RuleSpec
@@ -47,10 +53,16 @@ class Violation:
     partner: Optional[int] = None
     pair: Optional[CandidatePair] = None
     voter: Optional[int] = None
+    ballot: Optional[RankedBallot] = None
     note: str = ""
 
     def verify(self) -> bool:
-        """Recompute both sides and re-check the defining condition."""
+        """Recompute both sides and re-check the defining condition.
+
+        A transformation axiom's witness is replayed through the function
+        that judges it, so it verifies only if its recorded transformation,
+        winners and note are exactly what that replay gives.
+        """
         if self.axiom == FAVORITE_CONSISTENCY:
             V = self.profile.as_approval()
             outcome = evaluate(V, self.rule)
@@ -66,19 +78,25 @@ class Violation:
                 self.profile.dominates(self.partner, self.candidate)
                 and self.candidate in before
             )
-        after = avr(self.transformed, self.rule).winners
-        if after != self.winners_after:
-            return False
         if self.axiom == MONOTONICITY:
-            return self.candidate in before and self.candidate not in after
-        if self.axiom in (CLONE_PROOFNESS, WEAK_CLONE_PROOFNESS):
-            return not clone_conditions_hold(
-                before, after, self.candidate, self.transformed.m - 1
+            improvements = a_improvements(self.profile, self.candidate, consistent=False)
+            if (self.voter, self.ballot) not in improvements:
+                return False
+            replay = improvement_violation(
+                self.profile, self.rule, before, self.candidate, self.voter, self.ballot
             )
-        if self.axiom == STRATEGY_PROOFNESS:
-            true_ballot = self.profile.ballots[self.voter]
-            return manipulation_succeeds(self.note, true_ballot, before, after)
-        raise InputError(f"unknown axiom {self.axiom!r}")
+        elif self.axiom == STRATEGY_PROOFNESS:
+            replay = deviation_violation(
+                self.profile, self.rule, before, self.voter, self.ballot, self.note
+            )
+        elif self.axiom in (CLONE_PROOFNESS, WEAK_CLONE_PROOFNESS):
+            replay = cloning_violation(
+                self.profile, self.rule, before, self.candidate,
+                weak=self.axiom == WEAK_CLONE_PROOFNESS,
+            )
+        else:
+            raise InputError(f"unknown axiom {self.axiom!r}")
+        return replay == self
 
 
 @dataclass(frozen=True)
@@ -302,27 +320,39 @@ def find_monotonicity_violation(
         for i, ballot in a_improvements(profile, a, consistent):
             if searched >= limit:
                 return SearchOutcome(None, False, searched)
-            improved = profile.replace_ballot(i, ballot)
             searched += 1
-            after = avr(improved, spec)
-            if a not in after.winners:
-                return SearchOutcome(
-                    Violation(
-                        axiom=MONOTONICITY,
-                        rule=spec,
-                        profile=profile,
-                        winners_before=base.winners,
-                        transformed=improved,
-                        winners_after=after.winners,
-                        candidate=a,
-                        voter=i,
-                        note=f"raising {profile.labels[a]} on ballot {i} "
-                             f"removes it from the winners",
-                    ),
-                    True,
-                    searched,
-                )
+            found = improvement_violation(profile, spec, base.winners, a, i, ballot)
+            if found is not None:
+                return SearchOutcome(found, True, searched)
     return SearchOutcome(None, True, searched)
+
+
+def improvement_violation(
+    profile: RankedProfile,
+    spec: RuleSpec,
+    winners_before: frozenset[int],
+    a: int,
+    voter: int,
+    ballot: RankedBallot,
+) -> Optional[Violation]:
+    """The monotonicity violation of giving `voter` the a-improving
+    `ballot`: a won before and does not win after."""
+    improved = profile.replace_ballot(voter, ballot)
+    after = avr(improved, spec).winners
+    if a not in winners_before or a in after:
+        return None
+    return Violation(
+        axiom=MONOTONICITY,
+        rule=spec,
+        profile=profile,
+        winners_before=winners_before,
+        transformed=improved,
+        winners_after=after,
+        candidate=a,
+        voter=voter,
+        ballot=ballot,
+        note=f"raising {profile.labels[a]} on ballot {voter} removes it from the winners",
+    )
 
 
 def manipulation_succeeds(mode, true_ballot, winners_before, winners_after) -> bool:
@@ -378,27 +408,36 @@ def find_manipulation(
             searched += per_voter
             continue
         for ballot in i_deviations(profile, i):
-            deviated = profile.replace_ballot(i, ballot)
             searched += 1
-            after = avr(deviated, spec).winners
-            if manipulation_succeeds(mode, true_ballot, base, after):
-                return SearchOutcome(
-                    _manipulation_violation(profile, spec, base, deviated, after, i, mode),
-                    True,
-                    searched,
-                )
+            found = deviation_violation(profile, spec, base, i, ballot, mode)
+            if found is not None:
+                return SearchOutcome(found, True, searched)
     return SearchOutcome(None, True, searched)
 
 
-def _manipulation_violation(profile, spec, base, deviated, after, voter, mode):
+def deviation_violation(
+    profile: RankedProfile,
+    spec: RuleSpec,
+    winners_before: frozenset[int],
+    voter: int,
+    ballot: RankedBallot,
+    mode: str,
+) -> Optional[Violation]:
+    """The manipulation by `voter` casting `ballot`, if it succeeds in
+    `mode` judged by the voter's true ballot in `profile`."""
+    deviated = profile.replace_ballot(voter, ballot)
+    after = avr(deviated, spec).winners
+    if not manipulation_succeeds(mode, profile.ballots[voter], winners_before, after):
+        return None
     return Violation(
         axiom=STRATEGY_PROOFNESS,
         rule=spec,
         profile=profile,
-        winners_before=base,
+        winners_before=winners_before,
         transformed=deviated,
         winners_after=after,
         voter=voter,
+        ballot=ballot,
         note=mode,
     )
 
@@ -416,15 +455,10 @@ def _sampled_manipulation(profile, spec, mode, budget, base) -> SearchOutcome:
         original = profile.ballots[i]
         if ballot.ranking == original.ranking and ballot.approved == original.approved:
             continue
-        deviated = profile.replace_ballot(i, ballot)
         searched += 1
-        after = avr(deviated, spec).winners
-        if manipulation_succeeds(mode, profile.ballots[i], base, after):
-            return SearchOutcome(
-                _manipulation_violation(profile, spec, base, deviated, after, i, mode),
-                False,
-                searched,
-            )
+        found = deviation_violation(profile, spec, base, i, ballot, mode)
+        if found is not None:
+            return SearchOutcome(found, False, searched)
     return SearchOutcome(None, False, searched)
 
 
@@ -455,15 +489,17 @@ def find_clone_violation(
 ) -> SearchOutcome:
     """A cloning extension of `a` that changes other candidates' fates or
     breaks the original/clone equivalence: the first in `cloning_extensions`
-    order, found from at most three extensions.
+    order, found from one extension.
 
-    All extensions share one approval projection, since the clone is
-    approved exactly where `a` is, and margin(clone, c) = margin(a, c) for
-    every other c, since the clone sits next to `a`. So the winners depend
-    only on the sign of margin(a, clone) = W - 2K, for W voters of whom K
-    rank the clone above `a`. The first split with K = 0, with K = W/2 (W
-    even) and with K = W//2 + 1 (if at most W) stands for its sign, and the
-    first violation among them, in enumeration order, is the first of all.
+    Every extension has one approval projection, since the clone is approved
+    exactly where `a` is, so the finalist pairs do not depend on the split of
+    the voters between clone-above and clone-below. margin(clone, c) =
+    margin(a, c) for every other candidate c, since the clone sits next to
+    `a`, so each pair (a, c) and (clone, c) returns the same candidates under
+    every split; the pair (a, clone) returns `a` or the clone, and the
+    conditions read a and the clone together. So the verdict does not depend
+    on the split, and the first split (the clone just below `a` on every
+    ballot) is the full enumeration's first witness.
 
     With weak=True the check applies only on profiles where no candidate is
     approved in every non-empty ballot; outside that domain the result is a
@@ -473,33 +509,35 @@ def find_clone_violation(
     if weak and not in_weak_clone_domain(profile):
         return SearchOutcome(None, True, 0, vacuous=True)
     base = avr(profile, spec).winners
-    weights = [int(b.weight) for b in profile.ballots]
-    W = sum(weights)
-    signs = (0, W // 2, W // 2 + 1) if W % 2 == 0 else (0, W // 2 + 1)
-    # the first split with K above, in enumeration (lexicographic) order,
-    # gives each group what the groups after it cannot hold
-    splits = sorted({tuple(min(w, max(0, K - (W - upto))) for w, upto in
-                           zip(weights, itertools.accumulate(weights)))
-                     for K in signs if K <= W})
-    axiom = WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS
-    for searched, extended in enumerate(clone_extensions(profile, a, splits), 1):
-        after = avr(extended, spec).winners
-        if not clone_conditions_hold(base, after, a, extended.m - 1):
-            return SearchOutcome(
-                Violation(
-                    axiom=axiom,
-                    rule=spec,
-                    profile=profile,
-                    winners_before=base,
-                    transformed=extended,
-                    winners_after=after,
-                    candidate=a,
-                    note=f"cloning {profile.labels[a]} changes the winner set",
-                ),
-                True,
-                searched,
-            )
-    return SearchOutcome(None, True, len(splits))
+    return SearchOutcome(cloning_violation(profile, spec, base, a, weak), True, 1)
+
+
+def cloning_violation(
+    profile: RankedProfile,
+    spec: RuleSpec,
+    winners_before: frozenset[int],
+    a: int,
+    weak: bool = False,
+) -> Optional[Violation]:
+    """The (weak) clone-proofness violation of cloning `a` just below itself
+    on every ballot, judged by `clone_conditions_hold`; weak clone-proofness
+    holds vacuously outside its domain."""
+    if weak and not in_weak_clone_domain(profile):
+        return None
+    extended = next(clone_extensions(profile, a, [(0,) * len(profile.ballots)]))
+    after = avr(extended, spec).winners
+    if clone_conditions_hold(winners_before, after, a, profile.m):
+        return None
+    return Violation(
+        axiom=WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS,
+        rule=spec,
+        profile=profile,
+        winners_before=winners_before,
+        transformed=extended,
+        winners_after=after,
+        candidate=a,
+        note=f"cloning {profile.labels[a]} changes the winner set",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +589,13 @@ def check_axiom(
     if axiom == MONOTONICITY:
         return find_monotonicity_violation(profile, spec, budget)
     if axiom == STRATEGY_PROOFNESS:
+        searched = 0
         for mode in ("strong", "weak"):
             out = find_manipulation(profile, spec, mode, budget)
+            searched += out.searched
             if out.violation is not None or not out.exhausted:
-                return out
-        return out
+                break
+        return replace(out, searched=searched)
     if axiom in (WEAK_CLONE_PROOFNESS, CLONE_PROOFNESS):
         weak = axiom == WEAK_CLONE_PROOFNESS
         vacuous = True

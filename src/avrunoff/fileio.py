@@ -89,7 +89,7 @@ def parse_document(text: str) -> ProfileDocument:
         except KeyError:
             raise ParseError(f"unknown candidate label {lab!r}", lineno) from None
 
-    ballots, reported_votes, linenos = [], [], []
+    ballots, reported_votes = [], []
     for lineno, weight, prefix, suffix, reported in rows:
         names = prefix + (suffix or [])
         if len(set(names)) != len(names):
@@ -97,26 +97,19 @@ def parse_document(text: str) -> ProfileDocument:
         approved = [lookup(lab, lineno) for lab in prefix]
         if ranked:
             ranking = approved + [lookup(lab, lineno) for lab in suffix]
+            if len(ranking) != m:
+                raise ParseError("ranking is not a permutation of all candidates", lineno)
             ballots.append(RankedBallot(ranking, approved, weight))
         else:
             ballots.append(ApprovalBallot(approved, weight))
         reported_votes.append(lookup(reported, lineno) if reported else None)
-        linenos.append(lineno)
 
-    if ranked:
-        profile: Profile = RankedProfile(m, ballots, labels)
-        issues = profile.validate(strict=True)
-    else:
-        profile = ApprovalProfile(m, ballots, labels)
-        issues = profile.validate()
-    if issues:
-        first = issues[0]
-        raise ParseError(first.message, linenos[first.ballot_index])
+    profile = (RankedProfile if ranked else ApprovalProfile)(m, ballots, labels)
     return ProfileDocument(profile, tuple(reported_votes))
 
 
 def parse_profile(text: str) -> Profile:
-    """Parse ballot text; strict validation applied."""
+    """Parse ballot text; a malformed line raises ParseError with its number."""
     return parse_document(text).profile
 
 

@@ -69,7 +69,7 @@ class RankedBallot:
     The approved set is stored explicitly rather than as a threshold so
     that ballots breaking prefix consistency (approving someone ranked
     below an unapproved candidate) remain representable; axiom searches
-    need them. `validate(strict=True)` flags such ballots.
+    need them. `RankedProfile.validate()` flags such ballots.
     """
 
     ranking: tuple[int, ...]
@@ -139,6 +139,16 @@ class _Profile:
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "ballots", tuple(ballots))
         object.__setattr__(self, "labels", _check_labels(self.m, labels))
+        full = frozenset(range(self.m))
+        for i, b in enumerate(self.ballots):
+            if not b.approved <= full:
+                raise InputError(f"ballot {i} approves ids outside 0..{self.m - 1}")
+            if isinstance(b, RankedBallot) and (
+                len(b.ranking) != self.m or frozenset(b.ranking) != full
+            ):
+                raise InputError(
+                    f"ballot {i}: ranking {b.ranking} is not a permutation of 0..{self.m - 1}"
+                )
 
     @property
     def total_weight(self) -> Fraction:
@@ -233,14 +243,6 @@ class ApprovalProfile(_Profile):
         best = max(scores)
         return frozenset(c for c, s in enumerate(scores) if s == best)
 
-    def validate(self) -> list[ValidationIssue]:
-        issues = []
-        for i, b in enumerate(self.ballots):
-            bad = [c for c in b.approved if not 0 <= c < self.m]
-            if bad:
-                issues.append(ValidationIssue(i, f"approved ids out of range: {sorted(bad)}"))
-        return issues
-
     def relabel(self, perm: Sequence[int]) -> "ApprovalProfile":
         """Candidate i of the result is candidate perm[i] of self."""
         inv = _inverse_perm(perm, self.m)
@@ -322,25 +324,13 @@ class RankedProfile(_Profile):
                 return c
         return None
 
-    def validate(self, strict: bool = True) -> list[ValidationIssue]:
-        """Structural problems, plus prefix-consistency failures when strict."""
-        issues = []
-        full = frozenset(range(self.m))
-        for i, b in enumerate(self.ballots):
-            if len(b.ranking) != len(set(b.ranking)):
-                issues.append(ValidationIssue(i, "duplicate candidate in ranking"))
-                continue
-            if frozenset(b.ranking) != full:
-                issues.append(ValidationIssue(i, "ranking is not a permutation of all candidates"))
-                continue
-            if not b.approved <= full:
-                issues.append(ValidationIssue(i, "approved set mentions unknown candidates"))
-                continue
-            if strict and not b.is_consistent():
-                issues.append(
-                    ValidationIssue(i, "approved set is not the top prefix of the ranking")
-                )
-        return issues
+    def validate(self) -> list[ValidationIssue]:
+        """Ballots whose approved set is not a top prefix of their ranking."""
+        return [
+            ValidationIssue(i, "approved set is not the top prefix of the ranking")
+            for i, b in enumerate(self.ballots)
+            if not b.is_consistent()
+        ]
 
     def relabel(self, perm: Sequence[int]) -> "RankedProfile":
         inv = _inverse_perm(perm, self.m)

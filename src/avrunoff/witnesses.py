@@ -2,7 +2,10 @@
 
 Every profile here is small enough to re-check exhaustively; the
 regression suite replays each transformation and asserts the recorded
-majority facts, domination facts, finalist pairs, and winner sets.
+majority facts, domination facts, finalist pairs, and winner sets. A stored
+transformation is judged by the same function of `avrunoff.axioms` that
+judges it in the searches (`improvement_violation`, `deviation_violation`,
+`cloning_violation`), which builds every stored violation.
 """
 
 from __future__ import annotations
@@ -204,8 +207,9 @@ CLONE_QUOTA_WITNESS: RankedProfile = parse_profile(
     """
 )
 
-# Cloning a candidate that loses every pairwise contest: the clone is not a
-# loser, so the all-pairs runoff suddenly elects it.
+# Cloning a candidate that loses every pairwise contest: with the clone just
+# below it, the original beats its clone, so the all-pairs runoff suddenly
+# elects it.
 CLONE_TRIV_WITNESS: RankedProfile = parse_profile(
     """
     candidates: a b
@@ -285,12 +289,6 @@ CLONE_CHAIN = {
 }
 
 
-def uniform_clone_extension(profile: RankedProfile, a: int, clone_above: bool) -> RankedProfile:
-    """Extension placing the clone on the same side of `a` for every voter."""
-    split = [int(b.weight) if clone_above else 0 for b in profile.ballots]
-    return next(axioms.clone_extensions(profile, a, [split]))
-
-
 def grid_rule(name: str) -> RuleSpec:
     return dict(axioms.GRID_RULES)[name]
 
@@ -304,7 +302,11 @@ def stored_grid_counterexample(rule_name: str, axiom: str) -> Optional[Violation
         found = axioms.pareto_violations(PARETO_COVERAGE_WITNESS, spec)
         return found[0] if found else None
     if axiom == axioms.MONOTONICITY:
-        return _monotonicity_violation(spec)
+        profile = MONOTONICITY_WITNESS
+        voter, ballot = MONOTONICITY_IMPROVEMENT
+        return axioms.improvement_violation(
+            profile, spec, avr(profile, spec).winners, 0, voter, ballot
+        )
     if axiom == axioms.STRATEGY_PROOFNESS:
         if rule_name in ("ccav", "sccav"):
             profile, (voter, ballot) = (
@@ -313,73 +315,24 @@ def stored_grid_counterexample(rule_name: str, axiom: str) -> Optional[Violation
             )
         else:
             profile, (voter, ballot) = MANIPULATION_BEFORE, MANIPULATION_DEVIATION
-        return _manipulation_violation(profile, spec, voter, ballot)
+        before = avr(profile, spec).winners
+        for mode in ("strong", "weak"):
+            found = axioms.deviation_violation(profile, spec, before, voter, ballot, mode)
+            if found is not None:
+                return found
+        return None
     if axiom == axioms.WEAK_CLONE_PROOFNESS:
-        if rule_name == "enephr":
-            profile, above = CLONE_QUOTA_WITNESS, False
-        elif rule_name == "triv":
-            profile, above = CLONE_TRIV_WITNESS, True
-        else:
-            profile, above = CLONE_TWO_BLOC_WITNESS, False
-        return _clone_violation(profile, spec, 0, above, weak=True)
+        profile = {"enephr": CLONE_QUOTA_WITNESS, "triv": CLONE_TRIV_WITNESS}.get(
+            rule_name, CLONE_TWO_BLOC_WITNESS
+        )
+        return axioms.cloning_violation(profile, spec, avr(profile, spec).winners, 0, weak=True)
     return None
 
 
-def _monotonicity_violation(spec: RuleSpec) -> Optional[Violation]:
-    profile = MONOTONICITY_WITNESS
-    voter, ballot = MONOTONICITY_IMPROVEMENT
-    improved = profile.replace_ballot(voter, ballot)
+def _clone_breaks(profile: RankedProfile, spec: RuleSpec) -> bool:
+    """Cloning candidate 0 breaks clone-proofness under `spec`."""
     before = avr(profile, spec).winners
-    after = avr(improved, spec).winners
-    dropped = sorted(before - after)
-    if not dropped:
-        return None
-    return Violation(
-        axiom=axioms.MONOTONICITY,
-        rule=spec,
-        profile=profile,
-        winners_before=before,
-        transformed=improved,
-        winners_after=after,
-        candidate=dropped[0],
-        voter=voter,
-    )
-
-
-def _manipulation_violation(profile, spec, voter, ballot) -> Optional[Violation]:
-    deviated = profile.replace_ballot(voter, ballot)
-    before = avr(profile, spec).winners
-    after = avr(deviated, spec).winners
-    for mode in ("strong", "weak"):
-        if axioms.manipulation_succeeds(mode, profile.ballots[voter], before, after):
-            return Violation(
-                axiom=axioms.STRATEGY_PROOFNESS,
-                rule=spec,
-                profile=profile,
-                winners_before=before,
-                transformed=deviated,
-                winners_after=after,
-                voter=voter,
-                note=mode,
-            )
-    return None
-
-
-def _clone_violation(profile, spec, a, above, weak) -> Optional[Violation]:
-    extended = uniform_clone_extension(profile, a, clone_above=above)
-    before = avr(profile, spec).winners
-    after = avr(extended, spec).winners
-    if axioms.clone_conditions_hold(before, after, a, extended.m - 1):
-        return None
-    return Violation(
-        axiom=axioms.WEAK_CLONE_PROOFNESS if weak else axioms.CLONE_PROOFNESS,
-        rule=spec,
-        profile=profile,
-        winners_before=before,
-        transformed=extended,
-        winners_after=after,
-        candidate=a,
-    )
+    return axioms.cloning_violation(profile, spec, before, 0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +450,9 @@ def regression_suite() -> RegressionReport:
     check("cloning/two-candidate base elects b under every rule", lambda: all(
         _winners(C2, r) == fs({1}) for r, _ in axioms.GRID_RULES))
     check("cloning/twin pair flips the winner to the original for mav", lambda:
-          _clone_violation(C2, grid_rule("mav"), 0, above=False, weak=False) is not None)
+          _clone_breaks(C2, grid_rule("mav")))
     check("cloning/coverage rules also admit the twin pair here", lambda: all(
-        _clone_violation(C2, grid_rule(r), 0, above=False, weak=False) is not None
-        for r in ("ccav", "sccav")))
+        _clone_breaks(C2, grid_rule(r)) for r in ("ccav", "sccav")))
     check("cloning/twin-pair profile lies outside the weak domain", lambda:
           not axioms.in_weak_clone_domain(C2))
     check("cloning/the twin dominates b in the reranked extension", lambda:
@@ -541,9 +493,7 @@ def regression_suite() -> RegressionReport:
         for r in ("spav", "sccav", "sphr", "enephr")))
 
     check("degenerate/all-approve-everything profile admits a clone pair "
-          "even at alpha=2", lambda:
-          _clone_violation(CLONE_DEGENERATE_PROFILE, rules.TWO_AV, 0,
-                           above=False, weak=False) is not None)
+          "even at alpha=2", lambda: _clone_breaks(CLONE_DEGENERATE_PROFILE, rules.TWO_AV))
     check("degenerate/that profile lies outside the weak domain", lambda:
           not axioms.in_weak_clone_domain(CLONE_DEGENERATE_PROFILE))
 

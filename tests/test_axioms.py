@@ -1,5 +1,6 @@
 """Axiom checker behavior: stored witnesses, search soundness, budgets."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -347,6 +348,23 @@ class TestCloneSearch:
                             assert (v.transformed, v.winners_after) == first_hit
         assert seen == {"W % 2 == 0", "W % 2 == 1", "zero-weight group",
                         "none", "violation", "vacuous"}
+
+
+class TestVerify:
+    @pytest.mark.parametrize("search", [
+        lambda: find_monotonicity_violation(witnesses.MONOTONICITY_WITNESS,
+                                            witnesses.grid_rule("pav")),
+        lambda: find_manipulation(witnesses.COVERAGE_MANIPULATION_WITNESS, CCAV, "strong"),
+        lambda: find_clone_violation(witnesses.CLONE_TWO_BLOC_WITNESS, 0, MAV, weak=True),
+    ], ids=["monotonicity", "strategy-proofness", "clone"])
+    def test_rejects_a_transformed_profile_that_is_not_the_recorded_change(self, search):
+        v = search().violation
+        assert v.verify()
+        # twice the electorate: the same winners, but no single-voter change
+        # or cloning of v.profile
+        forged = dataclasses.replace(v, transformed=v.transformed.scaled(2))
+        assert avr(forged.transformed, v.rule).winners == v.winners_after
+        assert not forged.verify()
 
 
 class TestCheckAxiomEntryPoint:

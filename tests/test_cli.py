@@ -156,6 +156,14 @@ class TestAxioms:
                             for name in ("mav", "spav", "sphr", "enephr", "sccav",
                                          "pav", "ccav", "sav", "triv")}
 
+    def test_strategy_proofness_counts_both_modes(self, capsys):
+        # the strong search is exhausted, so the weak one runs too: 833 each
+        code, out, _ = run(capsys, "axioms", "--profile", RANKED, "--rule", "triv",
+                           "--axiom", "strategy-proofness", "--format", "json")
+        assert code == 0
+        cell = json.loads(out)["triv/strategy-proofness"]
+        assert (cell["status"], cell["searched"]) == ("none", 1666)
+
     def test_json_format(self, capsys, tmp_path):
         profile = tmp_path / "p.avr"
         profile.write_text("candidates: a b\n1 * a | b\n")

@@ -2,7 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avrunoff import fileio
 from avrunoff.fileio import (
@@ -94,6 +95,23 @@ class TestParse:
     def test_reported_must_be_single_label(self):
         with pytest.raises(ParseError, match="reported"):
             parse_profile("candidates: a b\n1 * a | b @ a b\n")
+
+
+# the format's own tokens, so that drawn text reaches every parsing branch
+FORMAT_TOKENS = ("candidates:", "a", "b", "c", " ", " ", "\n", "\n", "|", "*", "@", "#",
+                 "0", "1", "2", "/", "-", ".")
+
+
+class TestParseFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(FORMAT_TOKENS), max_size=60).map("".join))
+    def test_any_text_parses_or_names_its_line(self, text):
+        try:
+            doc = parse_document(text)
+        except ParseError as exc:
+            assert exc.line is not None or str(exc) == "no ballots found", str(exc)
+        else:
+            assert len(doc.reported) == len(doc.profile.ballots)
 
 
 class TestSerialize:

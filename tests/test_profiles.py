@@ -13,6 +13,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
 )
+from avrunoff.rules import MAV, evaluate
 from conftest import approval_profiles, ranked_profiles
 
 A, B, C, D = 0, 1, 2, 3
@@ -172,22 +173,29 @@ class TestCondorcetLoser:
 
 class TestValidate:
     def test_consistent_profile_is_clean(self, spectrum_ranked):
-        assert spectrum_ranked.validate(strict=True) == []
+        assert spectrum_ranked.validate() == []
 
     def test_duplicate_in_ranking_flagged(self):
-        profile = RankedProfile(2, [RankedBallot((0, 0), {0}, 1)])
-        issues = profile.validate(strict=False)
-        assert len(issues) == 1 and "duplicate" in issues[0].message
+        with pytest.raises(InputError, match="permutation"):
+            RankedProfile(2, [RankedBallot((0, 0), {0}, 1)])
 
     def test_inconsistent_ballot_allowed_when_not_strict(self):
         ballot = RankedBallot((0, 1, 2), {1}, 1)  # approves the middle only
         profile = RankedProfile(3, [ballot])
-        assert profile.validate(strict=False) == []
-        assert len(profile.validate(strict=True)) == 1
+        assert len(profile.validate()) == 1
 
     def test_ranking_must_cover_all_candidates(self):
-        profile = RankedProfile(3, [RankedBallot((0, 1), {0}, 1)])
-        assert any("permutation" in i.message for i in profile.validate())
+        with pytest.raises(InputError, match="permutation"):
+            RankedProfile(3, [RankedBallot((0, 1), {0}, 1)])
+
+    def test_short_ranking_cannot_reach_a_majority_comparison(self):
+        with pytest.raises(InputError):
+            RankedProfile(3, [RankedBallot((0, 1), {0}, 1)]).majority_margin(0, 2)
+
+    @pytest.mark.parametrize("approved", [{0, 5}, {-1}], ids=["above-m", "negative"])
+    def test_out_of_range_approval_cannot_reach_a_rule(self, approved):
+        with pytest.raises(InputError):
+            evaluate(ApprovalProfile(2, [ApprovalBallot(approved, 1)]), MAV)
 
 
 class TestSymmetries:

@@ -135,7 +135,7 @@ class TestSampling:
 
     def test_profile_is_valid(self):
         config = spatial.SpatialConfig(n_voters=15, n_candidates=6, seed=2)
-        assert spatial.sample_profile(config).validate(strict=True) == []
+        assert spatial.sample_profile(config).validate() == []
 
     def test_sampled_candidate_placement(self):
         config = spatial.SpatialConfig(
