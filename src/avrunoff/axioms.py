@@ -445,6 +445,8 @@ def deviation_violation(
 def _sampled_manipulation(profile, spec, mode, budget, base) -> SearchOutcome:
     rng = random.Random(budget.seed)
     voters = [i for i, b in enumerate(profile.ballots) if b.weight > 0]
+    if not voters:
+        return SearchOutcome(None, True, 0)  # no deviator: the exhaustive verdict
     searched = 0
     for _ in range(budget.samples):
         i = rng.choice(voters)
@@ -505,11 +507,21 @@ def find_clone_violation(
     approved in every non-empty ballot; outside that domain the result is a
     flagged vacuous pass.
     """
+    return _clone_search(profile, spec, weak, [a])
+
+
+def _clone_search(profile, spec, weak, candidates) -> SearchOutcome:
+    """The first of `candidates` whose cloning is a violation, judged
+    against one base runoff; vacuous outside the weak domain."""
     _require_voter_groups(profile)
     if weak and not in_weak_clone_domain(profile):
         return SearchOutcome(None, True, 0, vacuous=True)
     base = avr(profile, spec).winners
-    return SearchOutcome(cloning_violation(profile, spec, base, a, weak), True, 1)
+    for searched, a in enumerate(candidates, 1):
+        found = cloning_violation(profile, spec, base, a, weak)
+        if found is not None:
+            return SearchOutcome(found, True, searched)
+    return SearchOutcome(None, True, len(candidates))
 
 
 def cloning_violation(
@@ -597,16 +609,7 @@ def check_axiom(
                 break
         return replace(out, searched=searched)
     if axiom in (WEAK_CLONE_PROOFNESS, CLONE_PROOFNESS):
-        weak = axiom == WEAK_CLONE_PROOFNESS
-        vacuous = True
-        searched = 0
-        for a in range(profile.m):
-            out = find_clone_violation(profile, a, spec, weak=weak)
-            searched += out.searched
-            vacuous = vacuous and out.vacuous
-            if out.violation is not None:
-                return SearchOutcome(out.violation, True, searched)
-        return SearchOutcome(None, True, searched, vacuous=vacuous)
+        return _clone_search(profile, spec, axiom == WEAK_CLONE_PROOFNESS, range(profile.m))
     raise InputError(f"unknown axiom {axiom!r}")
 
 

@@ -11,16 +11,11 @@ import math
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class InputError(ValueError):
     """Raised for malformed inputs (unknown candidate, bad weight, ...)."""
-
-
-class Candidate(NamedTuple):
-    id: int
-    label: str
 
 
 def default_labels(m: int) -> tuple[str, ...]:
@@ -189,10 +184,6 @@ class ApprovalProfile(_Profile):
     """A weighted multiset of approval ballots over candidates 0..m-1."""
 
     ballots: tuple[ApprovalBallot, ...]
-
-    @property
-    def candidates(self) -> list[Candidate]:
-        return [Candidate(i, lab) for i, lab in enumerate(self.labels)]
 
     def as_approval(self) -> "ApprovalProfile":
         return self

@@ -172,13 +172,44 @@ class PositionReport:
         return abs(self.second_position)
 
 
-def _central_argbest(grid: np.ndarray, values: np.ndarray) -> int:
-    """Index of the maximal value, ties resolved toward the center then
-    toward the lower coordinate."""
-    best = values.max()
-    tied = np.flatnonzero(values == best)
-    keys = sorted((abs(grid[i]), grid[i], i) for i in tied)
-    return int(keys[0][2])
+def _exact_alpha(alpha) -> Fraction:
+    alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise InputError("alpha must lie in [0, 1]")
+    return alpha
+
+
+def _electorate(config: SpatialConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted voter positions and candidate positions of `config`."""
+    return np.sort(sample_voters(config)), candidate_positions(config)
+
+
+def _finalists(
+    voters: np.ndarray, grid: np.ndarray, d: float, alphas: Sequence[Fraction]
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Approval counts S, the first finalist, the joint counts J with it,
+    and the second finalist for each alpha, at approval radius d.
+
+    Every argmax breaks ties toward the center, then toward the lower
+    coordinate. The second finalist maximizes S(y) - alpha J(y), compared
+    exactly as the integer S(y) den - num J(y): in int64 while
+    max(S) den + num max(J) stays below 2**63, as Python ints otherwise.
+    """
+    central = np.lexsort((grid, np.abs(grid)))
+    scores = approval_counts(voters, grid, d)
+    i1 = int(central[np.argmax(scores[central])])
+    joint = joint_counts(voters, grid, d, float(grid[i1]))
+    top_s, top_j = int(scores.max()), int(joint.max())
+    nums = [a.numerator for a in alphas]
+    dens = [a.denominator for a in alphas]
+    fits = max(top_s, 1) * max(dens) + max(nums) * top_j < 2**63
+    dtype = np.int64 if fits else object
+    num = np.array(nums, dtype=dtype)[:, None]
+    den = np.array(dens, dtype=dtype)[:, None]
+    value = scores.astype(dtype) * den - num * joint.astype(dtype)
+    value[:, i1] = -num[:, 0] * top_j - 1  # below every other candidate
+    seconds = central[np.argmax(value[:, central], axis=1)]
+    return scores, i1, joint, seconds
 
 
 def empirical_second_finalist(config: SpatialConfig, alpha) -> PositionReport:
@@ -188,18 +219,9 @@ def empirical_second_finalist(config: SpatialConfig, alpha) -> PositionReport:
     Equivalent to running the sequential rule on `sample_profile(config)`
     (same integer scores), without materializing the ballots.
     """
-    alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise InputError("alpha must lie in [0, 1]")
-    voters = np.sort(sample_voters(config))
-    grid = candidate_positions(config)
-    scores = approval_counts(voters, grid, config.d)
-    i1 = _central_argbest(grid, scores)
-    joint = joint_counts(voters, grid, config.d, float(grid[i1]))
-    # exact argmax of S(y) - alpha * J(y) via integer scaling
-    scaled = scores.astype(np.int64) * alpha.denominator - alpha.numerator * joint.astype(np.int64)
-    scaled[i1] = np.iinfo(np.int64).min
-    i2 = _central_argbest(grid, scaled)
+    alpha = _exact_alpha(alpha)
+    voters, grid = _electorate(config)
+    scores, i1, joint, (i2,) = _finalists(voters, grid, config.d, [alpha])
     curve = tuple(
         None if i == i1 else Fraction(int(scores[i])) - alpha * int(joint[i])
         for i in range(len(grid))
@@ -227,27 +249,43 @@ class SweepRow:
 
 def sweep(config: SpatialConfig, alphas: Sequence, ds: Sequence[float]) -> list[SweepRow]:
     """Second-finalist distance for every (d, alpha) cell; analytic column
-    filled for the triangular density."""
+    filled for the triangular density.
+
+    The electorate is drawn once and counted once per radius; each alpha
+    then costs one integer argmax. Inputs are checked cell by cell, radius
+    first, so the first bad input raises as `empirical_second_finalist`
+    per cell would.
+    """
     rows = []
-    for d in ds:
-        cell = replace(config, d=float(d))
+    electorate = None
+    for d in map(float, ds):
+        replace(config, d=d)  # SpatialConfig rejects a radius that is not positive
+        cells = []
         for alpha in alphas:
-            report = empirical_second_finalist(cell, alpha)
+            alpha = _exact_alpha(alpha)
             analytic = (
-                optimal_x2_triangular(float(report.alpha), float(d))
+                optimal_x2_triangular(float(alpha), d)
                 if config.distribution == TRIANGULAR
                 else None
             )
-            rows.append(
-                SweepRow(
-                    distribution=config.distribution,
-                    d=float(d),
-                    alpha=report.alpha,
-                    analytic=analytic,
-                    empirical=report.second_distance,
-                    seed=config.seed,
-                )
+            cells.append((alpha, analytic))
+        if not cells:
+            continue
+        if electorate is None:
+            electorate = _electorate(config)
+        voters, grid = electorate
+        *_, seconds = _finalists(voters, grid, d, [alpha for alpha, _ in cells])
+        rows += [
+            SweepRow(
+                distribution=config.distribution,
+                d=d,
+                alpha=alpha,
+                analytic=analytic,
+                empirical=abs(float(grid[i])),
+                seed=config.seed,
             )
+            for (alpha, analytic), i in zip(cells, seconds)
+        ]
     return rows
 
 

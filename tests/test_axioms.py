@@ -374,6 +374,50 @@ class TestCheckAxiomEntryPoint:
         assert check_axiom(profile, MAV, MONOTONICITY).status == "none"
         assert check_axiom(profile, MAV, PARETO).status == "none"
 
+    def test_clone_cell_is_the_per_candidate_searches(self):
+        # one clone search per candidate, in order, with their searched
+        # counts summed: the cell's status, searched, vacuous flag and witness
+        rng = random.Random(73)
+        specs = [spec for _, spec in axioms.GRID_RULES] + [RuleSpec.named("2av")]
+        seen = set()
+        for _ in range(30):
+            m = rng.randint(2, 4)
+            profile = RankedProfile(m, [
+                RankedBallot.from_threshold(rng.sample(range(m), m), rng.randint(0, m),
+                                            rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))
+            ])
+            for spec in specs:
+                for axiom, weak in ((axioms.CLONE_PROOFNESS, False),
+                                    (WEAK_CLONE_PROOFNESS, True)):
+                    outs = []
+                    for a in range(m):
+                        outs.append(find_clone_violation(profile, a, spec, weak=weak))
+                        if outs[-1].violation is not None:
+                            break
+                    cell = check_axiom(profile, spec, axiom)
+                    seen.add(cell.status)
+                    assert cell.violation == outs[-1].violation
+                    assert cell.searched == sum(out.searched for out in outs)
+                    assert cell.vacuous == all(out.vacuous for out in outs)
+                    assert cell.exhausted
+        assert seen == {"none", "violation", "vacuous"}
+
+    def test_clone_cell_runs_the_base_runoff_once(self, monkeypatch):
+        calls = []
+
+        def counted(profile, spec):
+            calls.append(profile)
+            return avr(profile, spec)
+
+        monkeypatch.setattr(axioms, "avr", counted)
+        profile = witnesses.CLONE_TWO_BLOC_WITNESS
+        out = check_axiom(profile, CCAV, WEAK_CLONE_PROOFNESS)
+        assert out.status == "none" and out.searched == profile.m
+        # one base runoff, then one per cloning extension
+        assert calls.count(profile) == 1
+        assert len(calls) == 1 + profile.m
+
     def test_unknown_axiom_rejected(self, spectrum_ranked):
         with pytest.raises(InputError):
             check_axiom(spectrum_ranked, MAV, "range-voting")

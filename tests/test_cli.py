@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,6 +107,25 @@ class TestSimulate:
         assert out1 == out2
         assert out1.splitlines()[0] == "distribution,d,alpha,analytic,empirical,seed,generator"
         assert len(out1.splitlines()) == 3
+
+    def test_distribution_choices_are_the_simulator_densities(self, capsys):
+        from avrunoff import spatial
+
+        small = ("simulate", "--d", "0.2", "--alphas", "0.5",
+                 "--n-voters", "50", "--n-candidates", "11")
+        for extra, dist in [((), spatial.TRIANGULAR),
+                            (("--distribution", spatial.TRIANGULAR), spatial.TRIANGULAR),
+                            (("--distribution", spatial.GAUSSIAN), spatial.GAUSSIAN)]:
+            code, out, _ = run(capsys, *small, *extra)
+            assert code == 0
+            assert out.splitlines()[1].startswith(dist + ",")
+
+    def test_other_commands_do_not_import_numpy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, avrunoff.cli; print('numpy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout == "False\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -228,6 +250,16 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_sampled_search_with_only_zero_weight_groups(self, capsys, tmp_path):
+        # no voter can deviate, so the sampled search gives the exhaustive verdict
+        profile = tmp_path / "nobody.avr"
+        profile.write_text("candidates: a b\n0 * a | b\n")
+        argv = ("axioms", "--profile", str(profile), "--rule", "mav",
+                "--axiom", "strategy-proofness", "--format", "json")
+        exhaustive = run(capsys, *argv)
+        assert exhaustive[0] == 0
+        assert run(capsys, *argv, "--samples", "5") == exhaustive
 
     @pytest.mark.parametrize("argv", [
         ("network", "--profile", SPECTRUM, "--threshold", "abc"),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -207,3 +208,74 @@ class TestSweep:
         rows = spatial.sweep(config, [F(i, 10) for i in (2, 5, 8)], [0.25, 0.4])
         for r in rows:
             assert abs(r.empirical - r.analytic) <= 0.05
+
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    @pytest.mark.parametrize("placement", ["grid", "sampled"])
+    def test_rows_equal_the_per_cell_reports(self, dist, placement):
+        # tiny electorates give many tied counts; the oracle is one report
+        # per cell, each drawing its own sample
+        alphas = [F(0), F(1, 7), F(1, 2), F(9, 10), F(1), 0.3]
+        for seed, n, m, ds in [(1, 1, 5, [0.3]), (2, 3, 11, [0.05, 0.5]),
+                               (3, 40, 17, [0.1, 0.25, 0.9]), (4, 300, 61, [0.2, 0.33])]:
+            config = spatial.SpatialConfig(distribution=dist, n_voters=n, n_candidates=m,
+                                           candidate_placement=placement, seed=seed)
+            rows = spatial.sweep(config, alphas, ds)
+            cells = [(d, a) for d in ds for a in alphas]
+            assert len(rows) == len(cells)
+            for row, (d, a) in zip(rows, cells):
+                report = spatial.empirical_second_finalist(replace(config, d=d), a)
+                assert (row.d, row.alpha) == (d, report.alpha)
+                assert row.empirical == report.second_distance
+                if dist == spatial.TRIANGULAR:
+                    assert row.analytic == spatial.optimal_x2_triangular(float(report.alpha), d)
+                else:
+                    assert row.analytic is None
+
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    def test_rows_equal_an_exact_integer_argmax(self, dist):
+        # denominators near and past 2**63 make S*den - num*J overflow int64
+        alphas = [F(2**62 - 1, 2**62), F(1, 2**62), F(2**70 - 3, 2**70), F(1, 2**70),
+                  F("0.99999999999999999"), F(1, 10**16), F(1, 3)]
+        config = spatial.SpatialConfig(distribution=dist, n_voters=400, n_candidates=41,
+                                       seed=13)
+        voters = [float(v) for v in spatial.sample_voters(config)]
+        grid = [float(x) for x in spatial.candidate_positions(config)]
+        central = sorted(range(len(grid)), key=lambda i: (abs(grid[i]), grid[i]))
+
+        def argbest(values):  # the first maximum in central order
+            return max(central, key=values.__getitem__)
+
+        ds = [0.1, 0.3]
+        rows = iter(spatial.sweep(config, alphas, ds))
+        for d in ds:
+            near = [{v for v in voters if abs(v - x) < d} for x in grid]
+            scores = [len(s) for s in near]
+            i1 = argbest(scores)
+            joint = [len(s & near[i1]) for s in near]
+            for a in alphas:
+                value = [s * a.denominator - a.numerator * j for s, j in zip(scores, joint)]
+                value[i1] = min(value) - 1
+                assert next(rows).empirical == abs(grid[argbest(value)]), (d, a)
+
+    @pytest.mark.parametrize("alphas,ds,message", [
+        ([F(1, 2)], [0, 0.2], "approval radius d must be positive"),
+        ([F(3, 2)], [0, 0.2], "approval radius d must be positive"),
+        ([F(1, 2), F(3, 2)], [0.2, -0.1], "alpha must lie in"),
+        ([F(1, 2)], [0.2, -0.1], "approval radius d must be positive"),
+        ([F(1, 2), F(3, 2)], [1.5], "d must lie in"),
+        ([F(3, 2), F(1, 2)], [1.5], "alpha must lie in"),
+        ([], [0.2, -0.1], "approval radius d must be positive"),
+    ])
+    def test_first_bad_input_is_reported_in_cell_order(self, alphas, ds, message):
+        config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
+        with pytest.raises(InputError, match=message):
+            spatial.sweep(config, alphas, ds)
+
+    @pytest.mark.parametrize("alphas,ds", [([], [0.2, 0.4]), ([F(1, 2)], []), ([], [])])
+    def test_empty_lists_draw_no_voters(self, monkeypatch, alphas, ds):
+        def refuse(config):
+            raise AssertionError("sampled voters for an empty sweep")
+
+        monkeypatch.setattr(spatial, "sample_voters", refuse)
+        config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
+        assert spatial.sweep(config, alphas, ds) == []
