@@ -64,11 +64,10 @@ class Violation:
         winners and note are exactly what that replay gives.
         """
         if self.axiom == FAVORITE_CONSISTENCY:
-            V = self.profile.as_approval()
-            outcome = evaluate(V, self.rule)
+            outcome = evaluate(self.profile, self.rule)
             return (
                 self.pair in outcome.pairs
-                and not (self.pair.members() & V.approval_winners())
+                and not (self.pair.members() & self.profile.approval_winners())
             )
         before = avr(self.profile, self.rule).winners
         if before != self.winners_before:
@@ -138,9 +137,8 @@ class SearchOutcome:
 
 def check_favorite_consistency(profile, spec: RuleSpec) -> Optional[Violation]:
     """A winning pair containing no approval winner, if one exists."""
-    V = profile.as_approval()
-    outcome = evaluate(V, spec)
-    winners = V.approval_winners()
+    outcome = evaluate(profile, spec)
+    winners = profile.approval_winners()
     for pair in outcome.pairs:
         if not (pair.members() & winners):
             return Violation(
@@ -625,9 +623,8 @@ def admissible_for_cell(profile: RankedProfile, rule_name: str, axiom: str) -> b
     if axiom == WEAK_CLONE_PROOFNESS:
         return in_weak_clone_domain(profile)
     if axiom == PARETO and rule_name == "enephr":
-        V = profile.as_approval()
-        top = max(V.score_vector())
-        return top > V.total_weight / 3
+        tally = profile.tally()
+        return 3 * max(tally.scores) > tally.total
     return True
 
 

@@ -156,8 +156,10 @@ def _fmt_score(score) -> str:
 
 
 def cmd_score(args) -> int:
-    V = _load_document(args.profile).profile.as_approval()
+    V = _load_document(args.profile).profile
     names = [n.strip() for n in args.rule.split(",") if n.strip()]
+    if not names:
+        raise InputError(f"--rule {args.rule!r} names no rule")
     outcomes = {}
     for name in names:
         spec = RuleSpec.named(name, quota_beta=args.quota_beta)
@@ -197,7 +199,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_finalists(args) -> int:
-    V = _load_document(args.profile).profile.as_approval()
+    V = _load_document(args.profile).profile
     outcome = rules.evaluate(V, _resolve_rule(args))
     _emit(args, "\n".join(_fmt_pair(p, V.labels) for p in outcome.pairs) + "\n")
     return EXIT_OK
@@ -213,19 +215,19 @@ def cmd_winner(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     if args.points < 2:
         raise InputError("--points must be at least 2")
-    V = _load_document(args.profile).profile.as_approval()
+    V = _load_document(args.profile).profile
     breakpoints = rules.alpha_av_breakpoints(V)
     points = sorted(
         {Fraction(i, args.points - 1) for i in range(args.points)} | set(breakpoints)
     )
-    scores = V.score_vector()
+    tally = V.tally()
     grid = []
     for a in points:
         av = rules.alpha_av(V, a)
         seq = rules.alpha_seq_av(V, a)
         x1 = seq.first_stage[0]
         curve = {
-            y: seq.score_table[CandidatePair.of(x1, y)] - scores[x1]
+            y: seq.score_table[CandidatePair.of(x1, y)] - Fraction(tally.scores[x1], tally.denom)
             for y in range(V.m)
             if y != x1
         }
@@ -334,7 +336,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_network(args) -> int:
-    graph = fileio.jaccard_affinity(_load_document(args.profile).profile.as_approval())
+    graph = fileio.jaccard_affinity(_load_document(args.profile).profile)
     _emit(args, fileio.export_network(graph, args.threshold, args.format))
     return EXIT_OK
 

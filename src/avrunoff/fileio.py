@@ -19,18 +19,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from avrunoff.profiles import (
     ApprovalBallot,
     ApprovalProfile,
     InputError,
+    Profile,
     RankedBallot,
     RankedProfile,
     exact,
 )
-
-Profile = Union[ApprovalProfile, RankedProfile]
 
 
 class ParseError(InputError):
@@ -196,25 +195,26 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
     targets = {c: Fraction(s) for c, s in spec.target_shares.items()}
     if any(s < 0 for s in targets.values()) or sum(targets.values()) > 1:
         raise InputError("target shares must be nonnegative and sum to at most 1")
-    n = profile.total_weight
-    if n == 0:
-        raise InputError("cannot debias an empty profile")
     sample = {}
     for ballot, rep in zip(profile.ballots, spec.reported):
         sample[rep] = sample.get(rep, Fraction(0)) + ballot.weight
-    factors = {}
+    n = sum(sample.values(), Fraction(0))
+    if n == 0:
+        raise InputError("cannot debias an empty profile")
     for rep, share in sample.items():
         if rep not in targets:
             raise InputError(f"no target share for reported candidate {profile.labels[rep]!r}")
         if share == 0:
             raise InputError(f"zero sample share for {profile.labels[rep]!r}")
-        factors[rep] = targets[rep] / (share / n)
-    new_weights = [b.weight * factors[rep] for b, rep in zip(profile.ballots, spec.reported)]
-    total = sum(new_weights, Fraction(0))
-    if total == 0:
+    # a group reporting r is scaled by targets[r] / (share_r / n); the
+    # scaled groups total n * kept, and are rescaled by 1 / kept back to n
+    kept = sum(targets[rep] for rep in sample)
+    if kept == 0:
         raise InputError("debiasing zeroed out the profile")
-    scale = n / total
-    return profile.with_weights(w * scale for w in new_weights)
+    factors = {rep: targets[rep] * n / (share * kept) for rep, share in sample.items()}
+    return profile.with_weights(
+        b.weight * factors[rep] for b, rep in zip(profile.ballots, spec.reported)
+    )
 
 
 @dataclass(frozen=True)
@@ -230,19 +230,21 @@ class AffinityGraph:
     edges: Mapping[tuple[int, int], Fraction]
 
 
-def jaccard_affinity(profile: ApprovalProfile) -> AffinityGraph:
+def jaccard_affinity(profile: Profile) -> AffinityGraph:
     if profile.m < 2:
         raise InputError("need at least two candidates")
-    scores = profile.score_vector()
-    joint = profile.joint_matrix()
+    tally = profile.tally()
+    scores, joint = tally.scores, tally.joint
     edges = {}
     for a in range(profile.m):
         for b in range(a + 1, profile.m):
-            j = joint.get((a, b), Fraction(0))
+            j = joint[a][b]
             union = scores[a] + scores[b] - j
             if union > 0:
-                edges[(a, b)] = j / union
-    return AffinityGraph(profile.labels, tuple(scores), edges)
+                edges[(a, b)] = Fraction(j, union)
+    return AffinityGraph(
+        profile.labels, tuple(Fraction(s, tally.denom) for s in scores), edges
+    )
 
 
 def export_network(graph: AffinityGraph, threshold, fmt: str = "dot") -> str:
@@ -286,6 +288,8 @@ def load_target_shares(text: str, labels: Sequence[str]) -> dict[int, Fraction]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bad targets file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError("bad targets file: expected a JSON object {label: share}")
     ids = {lab: i for i, lab in enumerate(labels)}
     shares = {}
     for lab, value in raw.items():

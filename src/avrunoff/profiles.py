@@ -2,7 +2,10 @@
 
 All weights and scores are exact rationals (`fractions.Fraction`), so ties
 are genuine ties and never float artifacts. Ballots are stored grouped with
-a multiplicity weight; fractional weights appear after debiasing.
+a multiplicity weight; fractional weights appear after debiasing. What the
+rules and the runoff read (scores, joint scores, split scores, pairwise
+preferences) is counted once per profile, as integers over the common
+denominator of the weights.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -121,6 +124,35 @@ def _check_labels(m: int, labels) -> tuple[str, ...]:
     return labels
 
 
+class Tally(NamedTuple):
+    """What the rules read of a profile, as integers.
+
+    `joint[x][y]` is the weight of the ballots approving both x and y, so
+    `joint[x][x]` is the score S(x) and `scores` is the diagonal. `split[c]`
+    is the sum, over the ballots approving c, of the ballot's weight divided
+    by its number of approvals; it is over `split_denom`. `total` and the
+    rest are over `denom`, the least common denominator of the group weights.
+    """
+
+    denom: int
+    total: int
+    scores: tuple[int, ...]
+    joint: tuple[tuple[int, ...], ...]
+    split: tuple[int, ...]
+    split_denom: int
+
+
+def _merged_weights(ballots, field: str) -> tuple[dict, int]:
+    """Group weights as integers over their least common denominator,
+    summed by the ballot attribute `field`."""
+    denom = math.lcm(*(b.weight.denominator for b in ballots))
+    merged: dict = {}
+    for b in ballots:
+        key, w = getattr(b, field), b.weight
+        merged[key] = merged.get(key, 0) + w.numerator * (denom // w.denominator)
+    return merged, denom
+
+
 @dataclass(frozen=True)
 class _Profile:
     """Weighted ballot groups over candidates 0..m-1: what approval and
@@ -153,19 +185,42 @@ class _Profile:
         if not (isinstance(c, int) and 0 <= c < self.m):
             raise InputError(f"unknown candidate id {c!r} (m={self.m})")
 
-    def _int_weights(self) -> tuple[list[int], int]:
-        """Weights as integers over a common denominator (cached).
-
-        Keeps the score accumulation in plain int arithmetic; results are
-        turned back into exact Fractions at the end.
-        """
-        cached = self.__dict__.get("_iw")
+    def tally(self) -> Tally:
+        """The approval statistics of the profile (cached): one pass over
+        the ballot groups, merged by approval set first."""
+        cached = self.__dict__.get("_tally")
         if cached is None:
-            denom = math.lcm(*(b.weight.denominator for b in self.ballots)) if self.ballots else 1
-            ints = [int(b.weight * denom) for b in self.ballots]
-            cached = (ints, denom)
-            self.__dict__["_iw"] = cached
+            merged, denom = _merged_weights(self.ballots, "approved")
+            joint = [[0] * self.m for _ in range(self.m)]
+            split = [0] * self.m
+            sizes = math.lcm(*(len(a) for a in merged if a))
+            for approved, w in merged.items():
+                if not (w and approved):
+                    continue
+                share = w * (sizes // len(approved))
+                for x in approved:
+                    row = joint[x]
+                    for y in approved:
+                        row[y] += w
+                    split[x] += share
+            cached = Tally(
+                denom,
+                sum(merged.values()),
+                tuple(joint[c][c] for c in range(self.m)),
+                tuple(map(tuple, joint)),
+                tuple(split),
+                denom * sizes,
+            )
+            self.__dict__["_tally"] = cached
         return cached
+
+    def approval_winners(self) -> frozenset[int]:
+        """All candidates with the maximal approval score."""
+        if self.m < 1:
+            raise InputError("no candidates")
+        scores = self.tally().scores
+        best = max(scores)
+        return frozenset(c for c, s in enumerate(scores) if s == best)
 
     def with_weights(self, weights: Iterable):
         """The same ballot groups, in order, with new weights."""
@@ -191,48 +246,27 @@ class ApprovalProfile(_Profile):
     def approval_score(self, c: int) -> Fraction:
         """Total weight of ballots approving c."""
         self._require_candidate(c)
-        ints, denom = self._int_weights()
-        return Fraction(
-            sum(w for b, w in zip(self.ballots, ints) if c in b.approved), denom
-        )
+        return sum((b.weight for b in self.ballots if c in b.approved), Fraction(0))
 
     def joint_score(self, group: Iterable[int]) -> Fraction:
         """Total weight of ballots approving every candidate in `group`."""
         group = frozenset(group)
         for c in group:
             self._require_candidate(c)
-        ints, denom = self._int_weights()
-        return Fraction(
-            sum(w for b, w in zip(self.ballots, ints) if group <= b.approved), denom
-        )
+        return sum((b.weight for b in self.ballots if group <= b.approved), Fraction(0))
 
     def score_vector(self) -> list[Fraction]:
-        ints, denom = self._int_weights()
-        scores = [0] * self.m
-        for b, w in zip(self.ballots, ints):
-            for c in b.approved:
-                scores[c] += w
-        return [Fraction(s, denom) for s in scores]
+        tally = self.tally()
+        return [Fraction(s, tally.denom) for s in tally.scores]
 
     def joint_matrix(self) -> dict[tuple[int, int], Fraction]:
         """Joint approval weight for every pair (i, j) with i < j."""
-        ints, denom = self._int_weights()
-        joint: dict[tuple[int, int], int] = {}
-        for b, w in zip(self.ballots, ints):
-            app = sorted(b.approved)
-            for i, x in enumerate(app):
-                for y in app[i + 1:]:
-                    key = (x, y)
-                    joint[key] = joint.get(key, 0) + w
-        return {k: Fraction(v, denom) for k, v in joint.items()}
-
-    def approval_winners(self) -> frozenset[int]:
-        """All candidates with the maximal approval score."""
-        if self.m < 1:
-            raise InputError("no candidates")
-        scores = self.score_vector()
-        best = max(scores)
-        return frozenset(c for c, s in enumerate(scores) if s == best)
+        tally = self.tally()
+        return {
+            (x, y): Fraction(tally.joint[x][y], tally.denom)
+            for x in range(self.m)
+            for y in range(x + 1, self.m)
+        }
 
     def relabel(self, perm: Sequence[int]) -> "ApprovalProfile":
         """Candidate i of the result is candidate perm[i] of self."""
@@ -269,22 +303,38 @@ class RankedProfile(_Profile):
             self.labels,
         )
 
-    def majority_margin(self, a: int, b: int) -> Fraction:
-        """Weight preferring a over b minus weight preferring b over a."""
+    def _preferences(self) -> tuple[list[list[int]], int]:
+        """prefs[a][b], the weight of the ballots ranking a above b, as
+        integers over the common denominator (cached): one pass over the
+        ballot groups, merged by ranking first."""
+        cached = self.__dict__.get("_prefs")
+        if cached is None:
+            merged, denom = _merged_weights(self.ballots, "ranking")
+            prefs = [[0] * self.m for _ in range(self.m)]
+            for ranking, w in merged.items():
+                for i, x in enumerate(ranking):
+                    row = prefs[x]
+                    for y in ranking[i + 1:]:
+                        row[y] += w
+            cached = (prefs, denom)
+            self.__dict__["_prefs"] = cached
+        return cached
+
+    def _margin(self, a: int, b: int) -> int:
         self._require_candidate(a)
         self._require_candidate(b)
         if a == b:
             raise InputError("majority comparison needs two distinct candidates")
-        ints, denom = self._int_weights()
-        margin = 0
-        for bal, w in zip(self.ballots, ints):
-            if w:
-                margin += w if bal.prefers(a, b) else -w
-        return Fraction(margin, denom)
+        prefs, _ = self._preferences()
+        return prefs[a][b] - prefs[b][a]
+
+    def majority_margin(self, a: int, b: int) -> Fraction:
+        """Weight preferring a over b minus weight preferring b over a."""
+        return Fraction(self._margin(a, b), self._preferences()[1])
 
     def majority_winners(self, a: int, b: int) -> frozenset[int]:
         """{a}, {b}, or {a, b} on an exact tie."""
-        margin = self.majority_margin(a, b)
+        margin = self._margin(a, b)
         if margin > 0:
             return frozenset({a})
         if margin < 0:
@@ -311,7 +361,7 @@ class RankedProfile(_Profile):
         if self.m < 2:
             return None
         for c in range(self.m):
-            if all(self.majority_margin(c, other) < 0 for other in range(self.m) if other != c):
+            if all(self._margin(c, other) < 0 for other in range(self.m) if other != c):
                 return c
         return None
 
@@ -363,6 +413,9 @@ class RankedProfile(_Profile):
             ballots[index] = RankedBallot(old.ranking, old.approved, old.weight - 1)
             ballots.append(RankedBallot(new.ranking, new.approved, 1))
         return RankedProfile(self.m, ballots, self.labels)
+
+
+Profile = Union[ApprovalProfile, RankedProfile]
 
 
 def _inverse_perm(perm: Sequence[int], m: int) -> list[int]:

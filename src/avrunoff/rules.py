@@ -6,6 +6,10 @@ S(x) + S(y) - alpha * S(xy); alpha = 0, 1/2, 1 give the maximal-approval,
 proportional, and coverage (Chamberlin-Courant style) rules, and alpha = 2
 the clone-resistant variant. Sequential variants fix the first finalist as
 an approval winner and optimize the second seat only.
+
+A rule takes an approval or a ranked profile and reads only its tally
+(`_Profile.tally`): it compares integers, cross-multiplied by a
+parameter's denominator, and builds Fractions only for the outcome.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union
 
-from avrunoff.profiles import ApprovalProfile, InputError, exact
+from avrunoff.profiles import InputError, Profile, Tally, exact
 
 
 class CandidatePair(NamedTuple):
@@ -167,41 +171,44 @@ class RuleOutcome:
         return frozenset(c for p in self.pairs for c in p)
 
 
-def _require_two(profile: ApprovalProfile) -> None:
+def _require_two(profile: Profile) -> None:
     if profile.m < 2:
         raise InputError("need at least two candidates")
 
 
-def _argbest(table: Mapping[CandidatePair, Fraction], sense: str) -> tuple[CandidatePair, ...]:
+def _argbest(table: Mapping[CandidatePair, object], sense: str) -> tuple[CandidatePair, ...]:
     extreme = max(table.values()) if sense == "max" else min(table.values())
     return tuple(sorted(p for p, s in table.items() if s == extreme))
 
 
-def all_pairs(profile: ApprovalProfile) -> list[CandidatePair]:
+def all_pairs(profile: Profile) -> list[CandidatePair]:
     return [CandidatePair(a, b) for a, b in combinations(range(profile.m), 2)]
 
 
-def alpha_av(profile: ApprovalProfile, alpha) -> RuleOutcome:
+def _discounted(tally: Tally, pairs, alpha: Fraction) -> dict[CandidatePair, int]:
+    """S(x) + S(y) - alpha * S(xy) of each pair, over alpha's denominator
+    times the tally's."""
+    p, q = alpha.numerator, alpha.denominator
+    S, J = tally.scores, tally.joint
+    return {pair: q * (S[pair.lo] + S[pair.hi]) - p * J[pair.lo][pair.hi] for pair in pairs}
+
+
+def _fractions(table: Mapping[CandidatePair, int], denom: int) -> dict[CandidatePair, Fraction]:
+    return {pair: Fraction(v, denom) for pair, v in table.items()}
+
+
+def alpha_av(profile: Profile, alpha) -> RuleOutcome:
     """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
     _require_two(profile)
     alpha = ALPHA.check(alpha)
-    scores = profile.score_vector()
-    joint = profile.joint_matrix()
-    table = {
-        p: scores[p.lo] + scores[p.hi] - alpha * joint.get(p, Fraction(0))
-        for p in all_pairs(profile)
-    }
-    return RuleOutcome(_argbest(table, "max"), table)
+    tally = profile.tally()
+    table = _discounted(tally, all_pairs(profile), alpha)
+    return RuleOutcome(
+        _argbest(table, "max"), _fractions(table, alpha.denominator * tally.denom)
+    )
 
 
-def _seq_branches(profile: ApprovalProfile) -> tuple[list[Fraction], dict, tuple[int, ...]]:
-    scores = profile.score_vector()
-    joint = profile.joint_matrix()
-    winners = tuple(sorted(profile.approval_winners()))
-    return scores, joint, winners
-
-
-def alpha_seq_av(profile: ApprovalProfile, alpha) -> RuleOutcome:
+def alpha_seq_av(profile: Profile, alpha) -> RuleOutcome:
     """First finalist an approval winner, second maximizing S(y) - alpha * S(x1,y).
 
     All first-stage ties are expanded as branches and the per-branch optima
@@ -209,22 +216,20 @@ def alpha_seq_av(profile: ApprovalProfile, alpha) -> RuleOutcome:
     """
     _require_two(profile)
     alpha = SEQ_ALPHA.check(alpha)
-    scores, joint, winners = _seq_branches(profile)
-    return _seq_alpha_outcome(profile, scores, joint, winners, {w: alpha for w in winners})
+    winners = tuple(sorted(profile.approval_winners()))
+    return _seq_alpha_outcome(profile, winners, {w: alpha for w in winners})
 
 
-def _seq_alpha_outcome(profile, scores, joint, winners, alpha_by_branch) -> RuleOutcome:
+def _seq_alpha_outcome(profile: Profile, winners, alpha_by_branch) -> RuleOutcome:
+    tally = profile.tally()
     table: dict[CandidatePair, Fraction] = {}
     best: set[CandidatePair] = set()
     for x1 in winners:
-        a = alpha_by_branch[x1]
-        branch: dict[CandidatePair, Fraction] = {}
-        for y in range(profile.m):
-            if y == x1:
-                continue
-            p = CandidatePair.of(x1, y)
-            branch[p] = scores[x1] + scores[y] - a * joint.get(p, Fraction(0))
-        table.update(branch)
+        alpha = alpha_by_branch[x1]
+        branch = _discounted(
+            tally, [CandidatePair.of(x1, y) for y in range(profile.m) if y != x1], alpha
+        )
+        table.update(_fractions(branch, alpha.denominator * tally.denom))
         best.update(_argbest(branch, "max"))
     return RuleOutcome(
         tuple(sorted(best)),
@@ -234,7 +239,7 @@ def _seq_alpha_outcome(profile, scores, joint, winners, alpha_by_branch) -> Rule
     )
 
 
-def enestrom_phragmen(profile: ApprovalProfile, quota=None, beta=None) -> RuleOutcome:
+def enestrom_phragmen(profile: Profile, quota=None, beta=None) -> RuleOutcome:
     """Sequential rule with per-branch discount min(1, Q / S(x1)).
 
     The quota is given either absolutely or as beta with Q = beta * n.
@@ -242,19 +247,21 @@ def enestrom_phragmen(profile: ApprovalProfile, quota=None, beta=None) -> RuleOu
     """
     _require_two(profile)
     param, value = _one_of((QUOTA, BETA), (quota, beta))
-    n = profile.total_weight
+    tally = profile.tally()
+    n = Fraction(tally.total, tally.denom)
     q = value * n if param is BETA else value
     if not 0 <= q <= n:
         raise InputError(f"quota {q} outside [0, {n}]")
-    scores, joint, winners = _seq_branches(profile)
+    winners = tuple(sorted(profile.approval_winners()))
     alphas = {
-        w: (Fraction(1) if scores[w] == 0 else min(Fraction(1), q / scores[w]))
+        w: (Fraction(1) if tally.scores[w] == 0
+            else min(Fraction(1), q * tally.denom / tally.scores[w]))
         for w in winners
     }
-    return _seq_alpha_outcome(profile, scores, joint, winners, alphas)
+    return _seq_alpha_outcome(profile, winners, alphas)
 
 
-def seq_phragmen(profile: ApprovalProfile) -> RuleOutcome:
+def seq_phragmen(profile: Profile) -> RuleOutcome:
     """First finalist an approval winner; second minimizes the voter load
     (1 + S(x1,y)/S(x1)) / S(y).
 
@@ -262,20 +269,22 @@ def seq_phragmen(profile: ApprovalProfile) -> RuleOutcome:
     candidate scores zero the outcome degenerates to all pairs.
     """
     _require_two(profile)
-    scores, joint, winners = _seq_branches(profile)
-    if all(s == 0 for s in scores):
+    tally = profile.tally()
+    S, J = tally.scores, tally.joint
+    winners = tuple(sorted(profile.approval_winners()))
+    if not any(S):
         pairs = tuple(all_pairs(profile))
         return RuleOutcome(pairs, {p: Fraction(0) for p in pairs},
                            objective_sense="min", first_stage=winners)
     table: dict[CandidatePair, Fraction] = {}
     best: set[CandidatePair] = set()
     for x1 in winners:
-        branch: dict[CandidatePair, Fraction] = {}
-        for y in range(profile.m):
-            if y == x1 or scores[y] == 0:
-                continue
-            p = CandidatePair.of(x1, y)
-            branch[p] = (1 + joint.get(p, Fraction(0)) / scores[x1]) / scores[y]
+        # the load is a ratio of tallies, (S(x1) + S(x1,y)) * denom / (S(x1) * S(y))
+        branch = {
+            CandidatePair.of(x1, y): Fraction((S[x1] + J[x1][y]) * tally.denom, S[x1] * S[y])
+            for y in range(profile.m)
+            if y != x1 and S[y]
+        }
         if branch:
             table.update(branch)
             best.update(_argbest(branch, "min"))
@@ -285,52 +294,50 @@ def seq_phragmen(profile: ApprovalProfile) -> RuleOutcome:
     return RuleOutcome(tuple(sorted(best)), table, objective_sense="min", first_stage=winners)
 
 
-def sav(profile: ApprovalProfile) -> RuleOutcome:
+def sav(profile: Profile) -> RuleOutcome:
     """Each ballot splits its weight evenly over its approved candidates;
     pairs maximizing the summed split scores win. Empty ballots contribute
     nothing."""
     _require_two(profile)
-    split = [Fraction(0)] * profile.m
-    for b in profile.ballots:
-        if b.approved:
-            share = b.weight / len(b.approved)
-            for c in b.approved:
-                split[c] += share
+    tally = profile.tally()
+    split = tally.split
     table = {p: split[p.lo] + split[p.hi] for p in all_pairs(profile)}
     return RuleOutcome(
         _argbest(table, "max"),
-        table,
-        candidate_scores={c: split[c] for c in range(profile.m)},
+        _fractions(table, tally.split_denom),
+        candidate_scores={c: Fraction(s, tally.split_denom) for c, s in enumerate(split)},
     )
 
 
-def triv(profile: ApprovalProfile) -> RuleOutcome:
+def triv(profile: Profile) -> RuleOutcome:
     """All pairs, regardless of the ballots."""
     _require_two(profile)
     pairs = tuple(all_pairs(profile))
     return RuleOutcome(pairs, {p: Fraction(0) for p in pairs})
 
 
-def ccav_plus(profile: ApprovalProfile) -> RuleOutcome:
+def ccav_plus(profile: Profile) -> RuleOutcome:
     """Coverage-optimal pairs, ties broken by the plain approval sum.
 
     Scores are (coverage score, approval sum) compared lexicographically,
     so `pairs` is still the exact argmax of the table.
     """
     _require_two(profile)
-    scores = profile.score_vector()
-    joint = profile.joint_matrix()
+    tally = profile.tally()
+    S, J = tally.scores, tally.joint
     table = {}
     for p in all_pairs(profile):
-        msum = scores[p.lo] + scores[p.hi]
-        table[p] = (msum - joint.get(p, Fraction(0)), msum)
-    best = max(table.values())
-    pairs = tuple(sorted(p for p, s in table.items() if s == best))
-    return RuleOutcome(pairs, table)
+        msum = S[p.lo] + S[p.hi]
+        table[p] = (msum - J[p.lo][p.hi], msum)
+    return RuleOutcome(
+        _argbest(table, "max"),
+        {p: (Fraction(c, tally.denom), Fraction(s, tally.denom)) for p, (c, s) in table.items()},
+    )
 
 
-def evaluate(profile: ApprovalProfile, spec: RuleSpec) -> RuleOutcome:
-    """Run the rule of `spec` on `profile`."""
+def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
+    """Run the rule of `spec` on `profile`, approval or ranked: either way
+    the rule reads only its approval tally."""
     rule = _KINDS[spec.kind]
     return rule.fn(profile, **{p.field: getattr(spec, p.field) for p in rule.params})
 
@@ -390,7 +397,7 @@ TRIV = RuleSpec.named("triv")
 CCAV_PLUS = RuleSpec.named("ccav+")
 
 
-def alpha_av_breakpoints(profile: ApprovalProfile, lo=Fraction(0), hi=Fraction(1)) -> list[Fraction]:
+def alpha_av_breakpoints(profile: Profile, lo=Fraction(0), hi=Fraction(1)) -> list[Fraction]:
     """Exact alpha values in (lo, hi] where the alpha-av argmax set changes.
 
     Pair scores are affine in alpha, so the argmax can only change where two
@@ -399,15 +406,13 @@ def alpha_av_breakpoints(profile: ApprovalProfile, lo=Fraction(0), hi=Fraction(1
     """
     _require_two(profile)
     lo, hi = exact(lo, "parameter"), exact(hi, "parameter")
-    scores = profile.score_vector()
-    joint = profile.joint_matrix()
-    lines = {
-        p: (scores[p.lo] + scores[p.hi], joint.get(p, Fraction(0)))
-        for p in all_pairs(profile)
-    }
+    tally = profile.tally()
+    S, J = tally.scores, tally.joint
+    # each pair's line S(x) + S(y) - alpha * S(xy), over the tally's denominator
+    lines = {p: (S[p.lo] + S[p.hi], J[p.lo][p.hi]) for p in all_pairs(profile)}
 
     def argmax_at(a: Fraction) -> frozenset[CandidatePair]:
-        vals = {p: m - a * j for p, (m, j) in lines.items()}
+        vals = {p: a.denominator * m - a.numerator * j for p, (m, j) in lines.items()}
         best = max(vals.values())
         return frozenset(p for p, v in vals.items() if v == best)
 

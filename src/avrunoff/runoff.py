@@ -22,7 +22,7 @@ class RunoffResult:
 
 
 def avr(profile: RankedProfile, spec: RuleSpec) -> RunoffResult:
-    """Run `spec` on the approval projection, then majority-vote each pair.
+    """Run `spec` on the approvals, then majority-vote each pair.
 
     Rankings are required; prefix consistency of the ballots is not (the
     axiom searches feed deviations that may break it).
@@ -30,7 +30,7 @@ def avr(profile: RankedProfile, spec: RuleSpec) -> RunoffResult:
     if not isinstance(profile, RankedProfile):
         raise InputError("runoff needs ranked ballots; approval-only profiles "
                          "cannot be majority-voted")
-    outcome = evaluate(profile.as_approval(), spec)
+    outcome = evaluate(profile, spec)
     per_pair = {p: profile.majority_winners(p.lo, p.hi) for p in outcome.pairs}
     winners = frozenset(c for ws in per_pair.values() for c in ws)
     return RunoffResult(winners, outcome, per_pair)

@@ -276,3 +276,17 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
+    def test_targets_that_are_not_an_object(self, capsys, tmp_path, text):
+        targets = tmp_path / "targets.json"
+        targets.write_text(text)
+        code, out, err = run(capsys, "debias", "--profile", SURVEY, "--targets", str(targets))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("names", [",,", " , "])
+    def test_score_naming_no_rule(self, capsys, names):
+        code, out, err = run(capsys, "score", "--profile", SPECTRUM, "--rule", names)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
