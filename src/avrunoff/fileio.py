@@ -28,6 +28,8 @@ from avrunoff.profiles import (
     Profile,
     RankedBallot,
     RankedProfile,
+    _trusted,
+    as_weight,
     exact,
 )
 
@@ -47,8 +49,14 @@ class ProfileDocument:
 
 
 def parse_document(text: str) -> ProfileDocument:
+    """Parse ballot text; a malformed line raises ParseError with its number.
+
+    Each distinct weight text and ballot body is checked once, at its first
+    line, and the ballots of equal bodies share their ranking and approved set.
+    """
     labels: Optional[list[str]] = None
-    rows = []  # (lineno, weight, prefix labels, suffix labels or None, reported)
+    weights: dict[str, Fraction] = {}
+    rows = []  # (lineno, weight, body, reported label or None)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -60,24 +68,37 @@ def parse_document(text: str) -> ProfileDocument:
             if len(set(labels)) != len(labels):
                 raise ParseError("duplicate label in candidates: header", lineno)
             continue
-        rows.append(_parse_ballot_line(line, lineno))
+        reported = None
+        if "@" in line:
+            line, _, rep = line.rpartition("@")
+            reported = rep.strip()
+            if not reported or len(reported.split()) != 1:
+                raise ParseError("reported vote must be a single label", lineno)
+        wtext = "1"
+        if "*" in line:
+            wtext, _, line = line.partition("*")
+        if wtext not in weights:
+            try:
+                weights[wtext] = as_weight(wtext.strip())
+            except InputError as exc:
+                raise ParseError(str(exc), lineno) from exc
+        if line.count("|") > 1:
+            raise ParseError("more than one bar", lineno)
+        rows.append((lineno, weights[wtext], line.strip(), reported))
 
     if not rows:
         if labels is None:
             raise ParseError("no ballots found")
         return ProfileDocument(ApprovalProfile(len(labels), [], labels), ())
-    ranked = rows[0][3] is not None
-    for lineno, _, _, suffix, _ in rows:
-        if (suffix is not None) != ranked:
+    ranked = "|" in rows[0][2]
+    for lineno, _, body, _ in rows:
+        if ("|" in body) != ranked:
             raise ParseError("cannot mix ranked (bar) and approval-only lines", lineno)
 
     if labels is None:
-        seen = set()
-        for _, _, prefix, suffix, reported in rows:
-            seen.update(prefix)
-            seen.update(suffix or [])
-            if reported:
-                seen.add(reported)
+        seen = {reported for *_, reported in rows if reported}
+        for body in {body for _, _, body, _ in rows}:
+            seen.update(body.replace("|", " ").split())
         labels = sorted(seen)
     ids = {lab: i for i, lab in enumerate(labels)}
     m = len(labels)
@@ -88,53 +109,37 @@ def parse_document(text: str) -> ProfileDocument:
         except KeyError:
             raise ParseError(f"unknown candidate label {lab!r}", lineno) from None
 
+    kind = RankedBallot if ranked else ApprovalBallot
+    checked: dict[str, dict] = {}  # body -> the fields of its ballots
     ballots, reported_votes = [], []
-    for lineno, weight, prefix, suffix, reported in rows:
-        names = prefix + (suffix or [])
-        if len(set(names)) != len(names):
-            raise ParseError("duplicate candidate in ballot", lineno)
-        approved = [lookup(lab, lineno) for lab in prefix]
-        if ranked:
-            ranking = approved + [lookup(lab, lineno) for lab in suffix]
-            if len(ranking) != m:
-                raise ParseError("ranking is not a permutation of all candidates", lineno)
-            ballots.append(RankedBallot(ranking, approved, weight))
-        else:
-            ballots.append(ApprovalBallot(approved, weight))
+    for lineno, weight, body, reported in rows:
+        fields = checked.get(body)
+        if fields is None:
+            prefix, _, suffix = body.partition("|")
+            prefix, suffix = prefix.split(), suffix.split()
+            names = prefix + suffix
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate candidate in ballot", lineno)
+            approved = [lookup(lab, lineno) for lab in prefix]
+            fields = {"approved": frozenset(approved)}
+            if ranked:
+                ranking = approved + [lookup(lab, lineno) for lab in suffix]
+                if len(ranking) != m:
+                    raise ParseError("ranking is not a permutation of all candidates", lineno)
+                fields["ranking"] = tuple(ranking)
+            checked[body] = fields
+        ballots.append(_trusted(kind, weight=weight, **fields))
         reported_votes.append(lookup(reported, lineno) if reported else None)
 
-    profile = (RankedProfile if ranked else ApprovalProfile)(m, ballots, labels)
+    # the ballots fit: every ranking is a permutation of the labels
+    profile = _trusted(RankedProfile if ranked else ApprovalProfile,
+                       m=m, ballots=tuple(ballots), labels=tuple(labels))
     return ProfileDocument(profile, tuple(reported_votes))
 
 
 def parse_profile(text: str) -> Profile:
     """Parse ballot text; a malformed line raises ParseError with its number."""
     return parse_document(text).profile
-
-
-def _parse_ballot_line(line: str, lineno: int):
-    reported = None
-    if "@" in line:
-        body, _, rep = line.rpartition("@")
-        reported = rep.strip()
-        if not reported or len(reported.split()) != 1:
-            raise ParseError("reported vote must be a single label", lineno)
-        line = body
-    weight = Fraction(1)
-    if "*" in line:
-        wtext, _, line = line.partition("*")
-        try:
-            weight = Fraction(wtext.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad weight {wtext.strip()!r}", lineno) from exc
-        if weight < 0:
-            raise ParseError("negative weight", lineno)
-    if line.count("|") > 1:
-        raise ParseError("more than one bar", lineno)
-    if "|" in line:
-        prefix, _, suffix = line.partition("|")
-        return lineno, weight, prefix.split(), suffix.split(), reported
-    return lineno, weight, line.split(), None, reported
 
 
 def serialize_document(doc: ProfileDocument) -> str:
@@ -195,10 +200,11 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
     targets = {c: Fraction(s) for c, s in spec.target_shares.items()}
     if any(s < 0 for s in targets.values()) or sum(targets.values()) > 1:
         raise InputError("target shares must be nonnegative and sum to at most 1")
-    sample = {}
-    for ballot, rep in zip(profile.ballots, spec.reported):
-        sample[rep] = sample.get(rep, Fraction(0)) + ballot.weight
-    n = sum(sample.values(), Fraction(0))
+    ints, denom = profile._int_weights()
+    sample: dict = {}
+    for w, rep in zip(ints, spec.reported):
+        sample[rep] = sample.get(rep, 0) + w
+    n = sum(sample.values())
     if n == 0:
         raise InputError("cannot debias an empty profile")
     for rep, share in sample.items():
@@ -207,14 +213,15 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
         if share == 0:
             raise InputError(f"zero sample share for {profile.labels[rep]!r}")
     # a group reporting r is scaled by targets[r] / (share_r / n); the
-    # scaled groups total n * kept, and are rescaled by 1 / kept back to n
+    # scaled groups total n * kept, and are rescaled by 1 / kept back to n.
+    # Shares and n are integers over `denom`, which cancels in the factor.
     kept = sum(targets[rep] for rep in sample)
     if kept == 0:
         raise InputError("debiasing zeroed out the profile")
     factors = {rep: targets[rep] * n / (share * kept) for rep, share in sample.items()}
-    return profile.with_weights(
-        b.weight * factors[rep] for b, rep in zip(profile.ballots, spec.reported)
-    )
+    groups = list(zip(ints, spec.reported))
+    products = {(w, rep): Fraction(w, denom) * factors[rep] for w, rep in set(groups)}
+    return profile._reweighted(map(products.__getitem__, groups))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -48,6 +48,14 @@ def as_weight(w) -> Fraction:
     return wf
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` from fields already checked:
+    coerced to their types and, for a profile, ballots that fit it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class ApprovalBallot:
     """A set of approved candidate ids with a multiplicity weight."""
@@ -56,8 +64,7 @@ class ApprovalBallot:
     weight: Fraction
 
     def __init__(self, approved: Iterable[int], weight=1):
-        object.__setattr__(self, "approved", frozenset(approved))
-        object.__setattr__(self, "weight", as_weight(weight))
+        self.__dict__.update(approved=frozenset(approved), weight=as_weight(weight))
 
 
 @dataclass(frozen=True)
@@ -75,9 +82,9 @@ class RankedBallot:
     weight: Fraction
 
     def __init__(self, ranking: Iterable[int], approved: Iterable[int], weight=1):
-        object.__setattr__(self, "ranking", tuple(ranking))
-        object.__setattr__(self, "approved", frozenset(approved))
-        object.__setattr__(self, "weight", as_weight(weight))
+        self.__dict__.update(
+            ranking=tuple(ranking), approved=frozenset(approved), weight=as_weight(weight)
+        )
 
     @classmethod
     def from_threshold(cls, ranking: Iterable[int], threshold: int, weight=1) -> "RankedBallot":
@@ -142,17 +149,6 @@ class Tally(NamedTuple):
     split_denom: int
 
 
-def _merged_weights(ballots, field: str) -> tuple[dict, int]:
-    """Group weights as integers over their least common denominator,
-    summed by the ballot attribute `field`."""
-    denom = math.lcm(*(b.weight.denominator for b in ballots))
-    merged: dict = {}
-    for b in ballots:
-        key, w = getattr(b, field), b.weight
-        merged[key] = merged.get(key, 0) + w.numerator * (denom // w.denominator)
-    return merged, denom
-
-
 @dataclass(frozen=True)
 class _Profile:
     """Weighted ballot groups over candidates 0..m-1: what approval and
@@ -163,9 +159,8 @@ class _Profile:
     labels: tuple[str, ...] = None
 
     def __init__(self, m: int, ballots: Iterable, labels=None):
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "ballots", tuple(ballots))
-        object.__setattr__(self, "labels", _check_labels(self.m, labels))
+        m = int(m)
+        self.__dict__.update(m=m, ballots=tuple(ballots), labels=_check_labels(m, labels))
         full = frozenset(range(self.m))
         for i, b in enumerate(self.ballots):
             if not b.approved <= full:
@@ -185,12 +180,24 @@ class _Profile:
         if not (isinstance(c, int) and 0 <= c < self.m):
             raise InputError(f"unknown candidate id {c!r} (m={self.m})")
 
+    def _int_weights(self) -> tuple[list[int], int]:
+        """The group weights as integers over their least common
+        denominator (cached): what the tally and the preferences count."""
+        if "_ints" not in self.__dict__:
+            denom = math.lcm(*(b.weight.denominator for b in self.ballots))
+            ints = [b.weight.numerator * (denom // b.weight.denominator) for b in self.ballots]
+            self.__dict__["_ints"] = (ints, denom)
+        return self.__dict__["_ints"]
+
     def tally(self) -> Tally:
         """The approval statistics of the profile (cached): one pass over
         the ballot groups, merged by approval set first."""
         cached = self.__dict__.get("_tally")
         if cached is None:
-            merged, denom = _merged_weights(self.ballots, "approved")
+            ints, denom = self._int_weights()
+            merged: dict = {}
+            for b, w in zip(self.ballots, ints):
+                merged[b.approved] = merged.get(b.approved, 0) + w
             joint = [[0] * self.m for _ in range(self.m)]
             split = [0] * self.m
             sizes = math.lcm(*(len(a) for a in merged if a))
@@ -224,15 +231,40 @@ class _Profile:
 
     def with_weights(self, weights: Iterable):
         """The same ballot groups, in order, with new weights."""
-        return type(self)(
-            self.m,
-            [replace(b, weight=w) for b, w in zip(self.ballots, weights)],
-            self.labels,
-        )
+        return self._reweighted(map(as_weight, weights))
+
+    def _reweighted(self, weights: Iterable[Fraction]):
+        """`with_weights` for weights that are already nonnegative Fractions."""
+        ballots = (_trusted(type(b), **{**b.__dict__, "weight": w})
+                   for b, w in zip(self.ballots, weights))
+        return _trusted(type(self), m=self.m, ballots=tuple(ballots), labels=self.labels)
 
     def scaled(self, factor):
         factor = exact(factor, "factor")
         return self.with_weights(b.weight * factor for b in self.ballots)
+
+    def _rebuilt(self, groups, labels):
+        """A profile of this kind from (ranking, approved, weight) groups;
+        an approval profile drops the rankings."""
+        ranked = isinstance(self, RankedProfile)
+        ballots = [RankedBallot(r, a, w) if ranked else ApprovalBallot(a, w) for r, a, w in groups]
+        return type(self)(self.m, ballots, labels)
+
+    def relabel(self, perm: Sequence[int]):
+        """Candidate i of the result is candidate perm[i] of self."""
+        inv = _inverse_perm(perm, self.m).__getitem__
+        groups = ((map(inv, getattr(b, "ranking", ())), map(inv, b.approved), b.weight)
+                  for b in self.ballots)
+        return self._rebuilt(groups, tuple(self.labels[p] for p in perm))
+
+    def canonical(self):
+        """Merge equal ballots and sort groups; drops zero-weight groups."""
+        ranked = isinstance(self, RankedProfile)
+        merged: dict[tuple, Fraction] = {}
+        for b in self.ballots:
+            key = (b.ranking if ranked else (), tuple(sorted(b.approved)))
+            merged[key] = merged.get(key, Fraction(0)) + b.weight
+        return self._rebuilt(((r, a, w) for (r, a), w in sorted(merged.items()) if w), self.labels)
 
 
 class ApprovalProfile(_Profile):
@@ -268,24 +300,6 @@ class ApprovalProfile(_Profile):
             for y in range(x + 1, self.m)
         }
 
-    def relabel(self, perm: Sequence[int]) -> "ApprovalProfile":
-        """Candidate i of the result is candidate perm[i] of self."""
-        inv = _inverse_perm(perm, self.m)
-        ballots = [ApprovalBallot({inv[c] for c in b.approved}, b.weight) for b in self.ballots]
-        labels = tuple(self.labels[perm[i]] for i in range(self.m))
-        return ApprovalProfile(self.m, ballots, labels)
-
-    def canonical(self) -> "ApprovalProfile":
-        """Merge equal ballots and sort groups; drops zero-weight groups."""
-        merged: dict[frozenset[int], Fraction] = {}
-        for b in self.ballots:
-            merged[b.approved] = merged.get(b.approved, Fraction(0)) + b.weight
-        groups = sorted(
-            ((tuple(sorted(a)), w) for a, w in merged.items() if w),
-            key=lambda kv: kv[0],
-        )
-        return ApprovalProfile(self.m, [ApprovalBallot(a, w) for a, w in groups], self.labels)
-
 
 class RankedProfile(_Profile):
     """A weighted multiset of ranked ballots with approved sets.
@@ -309,7 +323,10 @@ class RankedProfile(_Profile):
         ballot groups, merged by ranking first."""
         cached = self.__dict__.get("_prefs")
         if cached is None:
-            merged, denom = _merged_weights(self.ballots, "ranking")
+            ints, denom = self._int_weights()
+            merged: dict = {}
+            for b, w in zip(self.ballots, ints):
+                merged[b.ranking] = merged.get(b.ranking, 0) + w
             prefs = [[0] * self.m for _ in range(self.m)]
             for ranking, w in merged.items():
                 for i, x in enumerate(ranking):
@@ -372,30 +389,6 @@ class RankedProfile(_Profile):
             for i, b in enumerate(self.ballots)
             if not b.is_consistent()
         ]
-
-    def relabel(self, perm: Sequence[int]) -> "RankedProfile":
-        inv = _inverse_perm(perm, self.m)
-        ballots = [
-            RankedBallot(
-                tuple(inv[c] for c in b.ranking),
-                {inv[c] for c in b.approved},
-                b.weight,
-            )
-            for b in self.ballots
-        ]
-        labels = tuple(self.labels[perm[i]] for i in range(self.m))
-        return RankedProfile(self.m, ballots, labels)
-
-    def canonical(self) -> "RankedProfile":
-        merged: dict[tuple[tuple[int, ...], frozenset[int]], Fraction] = {}
-        for b in self.ballots:
-            key = (b.ranking, b.approved)
-            merged[key] = merged.get(key, Fraction(0)) + b.weight
-        groups = sorted(
-            ((r, a, w) for (r, a), w in merged.items() if w),
-            key=lambda kv: (kv[0], tuple(sorted(kv[1]))),
-        )
-        return RankedProfile(self.m, [RankedBallot(r, a, w) for r, a, w in groups], self.labels)
 
     def replace_ballot(self, index: int, new: RankedBallot) -> "RankedProfile":
         """Split one unit of weight off group `index` and give it ballot `new`.

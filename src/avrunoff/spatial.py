@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from avrunoff.profiles import InputError, RankedBallot, RankedProfile
+from avrunoff.profiles import InputError, RankedBallot, RankedProfile, exact
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -173,7 +173,7 @@ class PositionReport:
 
 
 def _exact_alpha(alpha) -> Fraction:
-    alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    alpha = exact(alpha, "alpha")
     if not 0 <= alpha <= 1:
         raise InputError("alpha must lie in [0, 1]")
     return alpha

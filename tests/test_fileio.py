@@ -2,13 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from avrunoff import fileio
 from avrunoff.fileio import (
     DebiasSpec,
     ParseError,
+    ProfileDocument,
     debias,
     export_network,
     jaccard_affinity,
@@ -18,7 +21,13 @@ from avrunoff.fileio import (
     serialize_document,
     serialize_profile,
 )
-from avrunoff.profiles import ApprovalProfile, InputError, RankedProfile
+from avrunoff.profiles import (
+    ApprovalBallot,
+    ApprovalProfile,
+    InputError,
+    RankedBallot,
+    RankedProfile,
+)
 from conftest import approval_profiles, ranked_profiles
 
 F = Fraction
@@ -112,6 +121,144 @@ class TestParseFuzz:
             assert exc.line is not None or str(exc) == "no ballots found", str(exc)
         else:
             assert len(doc.reported) == len(doc.profile.ballots)
+
+
+class TestParseOncePerDocument:
+    """Each distinct weight text and ballot body is checked once; an error
+    still names the first line at which it occurs."""
+
+    def test_unknown_reported_label_after_a_valid_use_of_the_body(self):
+        text = "candidates: a b\n1 * a | b @ a\n2 * b | a\n3 * a | b @ z\n"
+        with pytest.raises(ParseError, match="unknown candidate label 'z'") as exc:
+            parse_document(text)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("wtext,message", [("1/0", "bad weight"), ("-2", "negative weight")])
+    def test_repeated_bad_weight_reports_its_first_line(self, wtext, message):
+        text = (f"candidates: a b\n1 * a | b\n{wtext} * a | b\n2 * b | a\n\n# note\n"
+                f"{wtext} * b | a\n")
+        with pytest.raises(ParseError, match=f"line 3: {message}") as exc:
+            parse_document(text)
+        assert exc.value.line == 3
+
+    def test_repeated_duplicate_candidate_body_reports_its_first_line(self):
+        text = "candidates: a b\n1 * b | a\n2 * a a | b\n1 * b | a\n3 * a a | b\n"
+        with pytest.raises(ParseError, match="duplicate candidate") as exc:
+            parse_document(text)
+        assert exc.value.line == 3
+
+    def test_equal_bodies_share_their_parts(self):
+        doc = parse_document("candidates: a b c\n1 * a | b c\n2 * a | b c @ b\n02 * a | b c\n")
+        first, second, third = doc.profile.ballots
+        assert first.ranking is second.ranking is third.ranking
+        assert first.approved is second.approved is third.approved
+        assert (first.weight, second.weight, third.weight) == (1, 2, 2)
+        assert doc.reported == (None, 1, None)
+
+
+# weight texts, some denoting equal values, some zero or fractional
+WEIGHT_TEXTS = ("", "1", "2", "02", "4/2", "0", "1/3", "2/6", "5/4")
+
+
+@st.composite
+def documents(draw):
+    """Profile text and the ballots it means: (text, ranked, labels, lines),
+    each line (ranking labels, approved labels, weight text, reported label)."""
+    m = draw(st.integers(2, 4))
+    labels = list(draw(st.permutations("abcd"[:m])))
+    ranked = draw(st.booleans())
+    pool = draw(st.lists(st.tuples(st.permutations(labels), st.integers(0, m)),
+                         min_size=1, max_size=3))
+    every_reported = draw(st.booleans())
+    reported = st.sampled_from(labels)
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        order, t = draw(st.sampled_from(pool))
+        wtext = draw(st.sampled_from(WEIGHT_TEXTS))
+        rep = draw(reported if every_reported else st.one_of(st.none(), reported))
+        lines.append((list(order), list(order[:t]), wtext, rep))
+    header = draw(st.booleans())
+    text = ["candidates: " + " ".join(labels)] if header else []
+    for order, approved, wtext, rep in lines:
+        body = " ".join(approved)
+        if ranked:
+            body += " | " + " ".join(order[len(approved):])
+        line = (f"{wtext or 1} * " if wtext or not body else "") + body
+        text.append(line + (f" @ {rep}" if rep else ""))
+    if not header:
+        used = {lab for order, approved, _, rep in lines
+                for lab in (order if ranked else approved) + [rep] if lab}
+        labels = sorted(used)
+    return "\n".join(text) + "\n", ranked, labels, lines
+
+
+def oracle_document(ranked, labels, lines) -> ProfileDocument:
+    """The document built through the public constructors, with Fraction weights."""
+    ids = {lab: i for i, lab in enumerate(labels)}
+    ballots = []
+    for order, approved, wtext, _ in lines:
+        weight = F(wtext or 1)
+        approved_ids = [ids[lab] for lab in approved]
+        ballots.append(RankedBallot([ids[lab] for lab in order], approved_ids, weight)
+                       if ranked else ApprovalBallot(approved_ids, weight))
+    profile = (RankedProfile if ranked else ApprovalProfile)(len(labels), ballots, labels)
+    return ProfileDocument(profile, tuple(ids[rep] if rep else None for *_, rep in lines))
+
+
+def oracle_debias(weights, reported, targets):
+    """Debiased weights by the formula, or None where debias must refuse."""
+    sample = {}
+    for w, rep in zip(weights, reported):
+        sample[rep] = sample.get(rep, F(0)) + w
+    n = sum(sample.values(), F(0))
+    kept = sum((targets[rep] for rep in sample), F(0))
+    if n == 0 or kept == 0 or any(share == 0 for share in sample.values()):
+        return None
+    return [w * targets[rep] * n / (sample[rep] * kept) for w, rep in zip(weights, reported)]
+
+
+class TestParseDifferential:
+    """The parser's shared, once-checked ballots equal ballots built one by
+    one through the public constructors; so do everything read from them."""
+
+    @seed(11)
+    @settings(max_examples=300, deadline=None)
+    @given(documents(), st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_parse_equals_the_public_constructors(self, drawn, raw_targets):
+        text, ranked, labels, lines = drawn
+        doc, want = parse_document(text), oracle_document(ranked, labels, lines)
+        got_p, want_p = doc.profile, want.profile
+        assert type(got_p) is type(want_p) and got_p.labels == want_p.labels
+        assert len(got_p.ballots) == len(want_p.ballots)
+        for got, exp in zip(got_p.ballots, want_p.ballots):
+            assert getattr(got, "ranking", None) == getattr(exp, "ranking", None)
+            assert (got.approved, got.weight) == (exp.approved, exp.weight)
+        assert got_p == want_p
+        assert doc.reported == want.reported
+        assert got_p.tally() == want_p.tally()
+        if ranked:
+            assert got_p._preferences() == want_p._preferences()
+        assert serialize_document(doc) == serialize_document(want)
+
+        if None in want.reported:
+            return
+        total = sum(raw_targets[:len(labels)])
+        targets = {c: F(raw_targets[c], total or 1) for c in range(len(labels))}
+        weights = [b.weight for b in want_p.ballots]
+        expected = oracle_debias(weights, want.reported, targets)
+        spec = DebiasSpec(doc.reported, targets)
+        if expected is None:
+            with pytest.raises(InputError):
+                debias(got_p, spec)
+            return
+        debiased = debias(got_p, spec)
+        rebuilt = type(want_p)(want_p.m, [replace(b, weight=w) for b, w in
+                                          zip(want_p.ballots, expected)], want_p.labels)
+        assert [b.weight for b in debiased.ballots] == expected
+        assert debiased == rebuilt
+        assert debiased.tally() == rebuilt.tally()
+        if ranked:
+            assert debiased._preferences() == rebuilt._preferences()
 
 
 class TestSerialize:

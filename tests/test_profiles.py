@@ -188,6 +188,11 @@ class TestValidate:
         with pytest.raises(InputError, match="permutation"):
             RankedProfile(3, [RankedBallot((0, 1), {0}, 1)])
 
+    @pytest.mark.parametrize("ranking", [(0, 0, 1), (0, 1, 3), (0, 1, 2, 3), (2, 1, -1)])
+    def test_ranking_must_be_a_permutation(self, ranking):
+        with pytest.raises(InputError, match="permutation"):
+            RankedProfile(3, [RankedBallot((0, 1, 2), {0}), RankedBallot(ranking, {0})])
+
     def test_short_ranking_cannot_reach_a_majority_comparison(self):
         with pytest.raises(InputError):
             RankedProfile(3, [RankedBallot((0, 1), {0}, 1)]).majority_margin(0, 2)
@@ -234,6 +239,99 @@ class TestSymmetries:
         loser = profile.condorcet_loser()
         expected = None if loser is None else inv[loser]
         assert relabeled.condorcet_loser() == expected
+
+
+class TestReweighting:
+    """`with_weights` and `scaled` reuse the checked rankings and check the
+    new weights, as the public constructors do."""
+
+    @pytest.mark.parametrize("bad", [-1, "-1/2", 0.5, "x", "1/0", "1.2.3"])
+    @pytest.mark.parametrize("kind", ["approval", "ranked"])
+    def test_with_weights_checks_every_weight(self, spectrum, spectrum_ranked, kind, bad):
+        profile = spectrum if kind == "approval" else spectrum_ranked
+        weights = [1] * (len(profile.ballots) - 1) + [bad]
+        with pytest.raises(InputError):
+            profile.with_weights(weights)
+
+    @pytest.mark.parametrize("bad", [-1, "-1/2", 0.5, "x", "1/0"])
+    def test_scaled_checks_its_factor(self, spectrum_ranked, bad):
+        with pytest.raises(InputError):
+            spectrum_ranked.scaled(bad)
+
+    def test_exact_text_and_fractions_are_accepted(self, spectrum_ranked):
+        n = len(spectrum_ranked.ballots)
+        halved = spectrum_ranked.with_weights(["1/2"] * n)
+        assert all(type(b.weight) is Fraction and b.weight == Fraction(1, 2)
+                   for b in halved.ballots)
+        assert halved == spectrum_ranked.with_weights([Fraction(1, 2)] * n)
+
+    def test_cached_positions_survive_reweighting(self):
+        ballot = RankedBallot((2, 0, 1), {2}, 1)
+        assert ballot.prefers(0, 1)  # caches the positions
+        profile = RankedProfile(3, [ballot, RankedBallot((1, 0, 2), {1}, 1)])
+        reweighted = profile.with_weights(["3/2", 1])
+        new = reweighted.ballots[0]
+        assert (new.ranking, new.approved, new.weight) == ((2, 0, 1), {2}, Fraction(3, 2))
+        assert new.prefers(2, 0) and new.prefers(0, 1) and not new.prefers(1, 2)
+        assert [new.position(c) for c in range(3)] == [1, 2, 0]
+        assert reweighted.majority_margin(2, 1) == Fraction(1, 2)
+        assert reweighted.majority_margin(0, 1) == Fraction(1, 2)
+
+    @given(ranked_profiles(), st.integers(0, 4), st.integers(1, 4))
+    def test_reweighted_profile_counts_its_own_weights(self, profile, num, den):
+        # read the source's counts first: they must not leak into the copy
+        before, (prefs, denom) = profile.tally(), profile._preferences()
+        factor = Fraction(num, den)
+        scaled = profile.scaled(factor)
+        rebuilt = RankedProfile(
+            profile.m,
+            [RankedBallot(b.ranking, b.approved, b.weight * factor) for b in profile.ballots],
+            profile.labels,
+        )
+        assert scaled == rebuilt
+        assert scaled.tally() == rebuilt.tally()
+        assert scaled._preferences() == rebuilt._preferences()
+        for x in range(profile.m):
+            assert Fraction(scaled.tally().scores[x], scaled.tally().denom) == \
+                Fraction(before.scores[x], before.denom) * factor
+            for y in range(profile.m):
+                assert Fraction(scaled._preferences()[0][x][y], scaled._preferences()[1]) == \
+                    Fraction(prefs[x][y], denom) * factor
+
+
+class TestOneOfEach:
+    """relabel and canonical are written once for both profile kinds."""
+
+    @given(ranked_profiles(), st.data())
+    def test_relabel_and_canonical_commute_with_the_projection(self, profile, data):
+        perm = data.draw(st.permutations(range(profile.m)))
+        V = profile.as_approval()
+        assert type(V.relabel(perm)) is ApprovalProfile
+        assert type(profile.relabel(perm)) is RankedProfile
+        assert profile.relabel(perm).as_approval() == V.relabel(perm)
+        assert profile.canonical().as_approval().canonical() == V.canonical()
+        assert profile.relabel(range(profile.m)) == profile
+        assert profile.relabel(perm).canonical() == profile.canonical().relabel(perm).canonical()
+
+    def test_canonical_merges_sorts_and_drops_zero_groups(self):
+        profile = RankedProfile(3, [
+            RankedBallot((2, 0, 1), {2}, 1),
+            RankedBallot((0, 1, 2), {0, 1}, 0),
+            RankedBallot((0, 1, 2), {0}, 2),
+            RankedBallot((2, 0, 1), {2}, "1/2"),
+        ], ("x", "y", "z"))
+        assert profile.canonical() == RankedProfile(3, [
+            RankedBallot((0, 1, 2), {0}, 2),
+            RankedBallot((2, 0, 1), {2}, "3/2"),
+        ], ("x", "y", "z"))
+        assert profile.as_approval().canonical() == ApprovalProfile(
+            3, [ApprovalBallot({0}, 2), ApprovalBallot({2}, "3/2")], ("x", "y", "z"))
+
+    def test_relabel_moves_labels_with_candidates(self):
+        profile = ApprovalProfile(3, [ApprovalBallot({0, 2}, 1)], ("x", "y", "z"))
+        relabeled = profile.relabel([2, 0, 1])
+        assert relabeled.labels == ("z", "x", "y")
+        assert relabeled.ballots == (ApprovalBallot({0, 1}, 1),)
 
 
 class TestBallots:

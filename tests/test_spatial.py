@@ -214,7 +214,7 @@ class TestSweep:
     def test_rows_equal_the_per_cell_reports(self, dist, placement):
         # tiny electorates give many tied counts; the oracle is one report
         # per cell, each drawing its own sample
-        alphas = [F(0), F(1, 7), F(1, 2), F(9, 10), F(1), 0.3]
+        alphas = [F(0), F(1, 7), F(1, 2), F(9, 10), F(1), F(3, 10)]
         for seed, n, m, ds in [(1, 1, 5, [0.3]), (2, 3, 11, [0.05, 0.5]),
                                (3, 40, 17, [0.1, 0.25, 0.9]), (4, 300, 61, [0.2, 0.33])]:
             config = spatial.SpatialConfig(distribution=dist, n_voters=n, n_candidates=m,
@@ -270,6 +270,20 @@ class TestSweep:
         config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
         with pytest.raises(InputError, match=message):
             spatial.sweep(config, alphas, ds)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, "0.3.1", "1/0", "x"])
+    def test_alpha_must_be_an_exact_rational(self, alpha):
+        # one policy with the rest of the package: floats and bad text raise InputError
+        config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
+        with pytest.raises(InputError, match="alpha"):
+            spatial.sweep(config, [F(1, 2), alpha], [0.2])
+        with pytest.raises(InputError, match="alpha"):
+            spatial.empirical_second_finalist(config, alpha)
+
+    def test_alpha_text_is_read_exactly(self):
+        config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
+        (row,) = spatial.sweep(config, ["3/10"], [0.2])
+        assert row.alpha == F(3, 10) and row == spatial.sweep(config, [F(3, 10)], [0.2])[0]
 
     @pytest.mark.parametrize("alphas,ds", [([], [0.2, 0.4]), ([F(1, 2)], []), ([], [])])
     def test_empty_lists_draw_no_voters(self, monkeypatch, alphas, ds):
