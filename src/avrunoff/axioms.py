@@ -1,4 +1,4 @@
-"""Axiom checkers with exact or sampled counterexample search.
+"""Axiom checkers with exact counterexample search.
 
 Each axiom is checked on a concrete profile. Monotonicity, strategy-proofness
 and clone-proofness each judge a transformation of the profile: an
@@ -7,9 +7,10 @@ improvement, a deviation or a cloning. One function per transformation
 the transformed profile, runs the runoff on it and returns the `Violation`
 or None; the searches, the stored witnesses and `Violation.verify` all go
 through it. Searches return the first hit of a fixed deterministic order,
-the lexicographically smallest witness. Only the clone search is exact at
-any size; a sampled or truncated search that finds nothing reports
-"inconclusive", never "none".
+the lexicographically smallest witness, and every search is exact at any
+profile size: the monotonicity search enumerates its polynomial space, the
+manipulation search evaluates the rule once per voter and approval set, and
+the clone search runs one extension per candidate.
 """
 
 from __future__ import annotations
@@ -99,36 +100,20 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """The budget of the monotonicity and manipulation searches: exhaustive
-    up to `max_space` cases, or sampled, evaluating at most `samples`."""
-
-    mode: str = "exhaustive"  # or "sampled"
-    samples: int = 2000
-    seed: int = 0
-    max_space: int = 500_000
-
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "sampled"):
-            raise InputError(f"unknown budget mode {self.mode!r}")
-        if self.samples < 1:
-            raise InputError(f"samples must be at least 1, not {self.samples}")
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
+    """A search's first witness, if any, and its position in the search's
+    enumeration (or, with none, the enumeration's length)."""
+
     violation: Optional[Violation]
-    exhausted: bool
     searched: int = 0
     vacuous: bool = False
+    exhausted = True  # every search is exact
 
     @property
     def status(self) -> str:
         if self.violation is not None:
             return "violation"
-        if self.vacuous:
-            return "vacuous"
-        return "none" if self.exhausted else "inconclusive"
+        return "vacuous" if self.vacuous else "none"
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +222,14 @@ def clone_label(labels: Sequence[str], a: int) -> str:
     return lab
 
 
-def clone_extensions(
-    profile: RankedProfile, a: int, splits: Iterable[Sequence]
-) -> Iterator[RankedProfile]:
-    """The extensions adding a clone of `a` adjacent to it in every ranking,
-    one per split.
+def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile]:
+    """All extensions adding a clone of `a` adjacent to it in every ranking.
 
-    The clone gets id m. A split gives, per ballot group of integer weight,
-    how many of its voters rank the clone just above `a`; the rest rank it
-    just below. Each group's two ballots are built once.
+    The clone gets id m. Per ballot group of integer weight w, any split of
+    the w voters between clone-above and clone-below is enumerated, giving
+    prod(w_g + 1) extensions in deterministic order; the first puts the
+    clone just below `a` on every ballot. Each group's two ballots are
+    built once.
     """
     clone = profile.m
     labels = profile.labels + (clone_label(profile.labels, a),)
@@ -260,7 +244,7 @@ def clone_extensions(
         above = RankedBallot(b.ranking[:pos] + (clone,) + b.ranking[pos:],
                              approved, 1)
         variants.append((int(b.weight), below, above))
-    for counts in splits:
+    for counts in itertools.product(*(range(w + 1) for w, _, _ in variants)):
         ballots = []
         for (w, below, above), k in zip(variants, counts):
             if w - k:
@@ -268,17 +252,6 @@ def clone_extensions(
             if k:
                 ballots.append(RankedBallot(above.ranking, above.approved, k))
         yield RankedProfile(clone + 1, ballots, labels)
-
-
-def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile]:
-    """All extensions adding a clone of `a` adjacent to it in every ranking.
-
-    Per ballot group of integer weight w, any split of the w voters between
-    clone-above and clone-below is enumerated, giving prod(w_g + 1)
-    extensions in deterministic order.
-    """
-    splits = itertools.product(*(range(int(b.weight) + 1) for b in profile.ballots))
-    yield from clone_extensions(profile, a, splits)
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +271,22 @@ def _require_voter_groups(profile: RankedProfile) -> None:
 def find_monotonicity_violation(
     profile: RankedProfile,
     spec: RuleSpec,
-    budget: SearchBudget = SearchBudget(),
     consistent: bool = True,
 ) -> SearchOutcome:
     """A winner `a` and an a-improvement after which `a` no longer wins.
 
-    A sampled budget evaluates at most `budget.samples` improvements, in the
-    same deterministic order (its seed is unused), and is inconclusive when
-    that cuts the enumeration short.
+    The space, at most |winners| * n * (2m + 1) improvements, is enumerated.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec)
-    bound = len(base.winners) * len(profile.ballots) * (2 * profile.m + 1)
-    if budget.mode == "exhaustive" and bound > budget.max_space:
-        raise InputError(f"improvement space ~{bound} exceeds budget; sample instead")
-    limit = budget.samples if budget.mode == "sampled" else math.inf
     searched = 0
     for a in sorted(base.winners):
         for i, ballot in a_improvements(profile, a, consistent):
-            if searched >= limit:
-                return SearchOutcome(None, False, searched)
             searched += 1
             found = improvement_violation(profile, spec, base.winners, a, i, ballot)
             if found is not None:
-                return SearchOutcome(found, True, searched)
-    return SearchOutcome(None, True, searched)
+                return SearchOutcome(found, searched)
+    return SearchOutcome(None, searched)
 
 
 def improvement_violation(
@@ -371,46 +335,107 @@ def find_manipulation(
     profile: RankedProfile,
     spec: RuleSpec,
     mode: str = "strong",
-    budget: SearchBudget = SearchBudget(),
 ) -> SearchOutcome:
     """A single-voter ballot deviation that improves the outcome for the
-    deviator, judged by their original (true) ballot.
+    deviator, judged by their original (true) ballot: the first in
+    `i_deviations` order, voter by voter, found without enumerating it.
 
     strong: some new winner beats every old winner in the true ranking.
     weak: no old winner was approved, some new winner is.
+
+    Either way a deviation succeeds exactly when a new winner lies in a goal
+    set fixed by the true ballot and the old winners (strong: the candidates
+    ranked above every old winner; weak: the approved ones, or none when an
+    old winner is approved); a voter with an empty goal is skipped.
+
+    Why the first witness is the enumeration's: a deviation (r, t) approves
+    S = r[:t], and the rule reads only approvals, so its finalist pairs F(S)
+    are the pairs of the profile with the voter moved to S under any
+    ranking. A pair (a, b) then has margin m0 + 1 if r ranks a above b and
+    m0 - 1 otherwise, m0 being its margin without the voter's true ballot.
+    So r succeeds iff, for some pair of F(S), the order r gives its members
+    elects one of the goal. The rankings with prefix S that put a above b
+    are none when b is in S and a is not; otherwise the smallest is the
+    smallest ranking with prefix S, sorted(S) + sorted(rest), with b moved
+    just behind a if it came first. The least of these over the successful
+    (pair, order) choices is the smallest successful ranking for S, and
+    (ranking, |S|) its deviation. Sets are tried in increasing order of
+    (smallest ranking, |S|), a lower bound on each set's deviations, and
+    the search stops once that passes the best deviation found. The voter's
+    own ballot never succeeds (it leaves the winners as they are), so the
+    enumeration's skipping it only shifts positions: `searched` is the
+    witness's position in the enumeration, counting every deviation of the
+    voters before it, or the enumeration's length when there is none.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec).winners
-    per_voter = math.factorial(profile.m) * (profile.m + 1) - 1
-    space = per_voter * len(profile.ballots)
-    if budget.mode == "sampled" or space > budget.max_space:
-        if budget.mode == "exhaustive":
-            raise InputError(
-                f"deviation space {space} exceeds budget; use a sampled budget"
-            )
-        return _sampled_manipulation(profile, spec, mode, budget, base)
+    m = profile.m
     searched = 0
     for i, true_ballot in enumerate(profile.ballots):
         if true_ballot.weight == 0:
             continue
         if mode == "strong":
-            # only candidates above every current winner can ever satisfy
-            # the success condition for this voter
-            if not any(
-                all(true_ballot.prefers(x, y) for y in base)
-                for x in range(profile.m)
-            ):
-                searched += per_voter
-                continue
-        if mode == "weak" and (base & true_ballot.approved or not true_ballot.approved):
-            searched += per_voter
+            goal = {x for x in range(m) if all(true_ballot.prefers(x, y) for y in base)}
+        elif mode == "weak":
+            goal = set() if base & true_ballot.approved else true_ballot.approved
+        else:
+            raise InputError(f"unknown manipulation mode {mode!r}")
+        own = true_ballot.is_consistent()
+        first = _first_deviation(profile, spec, i, goal) if goal else None
+        if first is None:
+            searched += math.factorial(m) * (m + 1) - own
             continue
-        for ballot in i_deviations(profile, i):
-            searched += 1
-            found = deviation_violation(profile, spec, base, i, ballot, mode)
-            if found is not None:
-                return SearchOutcome(found, True, searched)
-    return SearchOutcome(None, True, searched)
+        ranking, t = first
+        position = _lex_rank(ranking) * (m + 1) + t
+        own_position = _lex_rank(true_ballot.ranking) * (m + 1) + true_ballot.threshold
+        searched += position + 1 - (own and own_position < position)
+        ballot = RankedBallot.from_threshold(ranking, t, 1)
+        return SearchOutcome(deviation_violation(profile, spec, base, i, ballot, mode), searched)
+    return SearchOutcome(None, searched)
+
+
+def _first_deviation(profile, spec, i, goal) -> Optional[tuple[tuple[int, ...], int]]:
+    """The smallest (ranking, t) by which voter i elects a candidate of
+    `goal`, or None; see `find_manipulation`."""
+    m = profile.m
+    prefs, _ = profile._preferences()  # whole voters: over denominator 1
+    true = profile.ballots[i]
+    orders = sorted(
+        (top + tuple(c for c in range(m) if c not in top), t)
+        for t in range(m + 1)
+        for top in itertools.combinations(range(m), t)
+    )
+    best = None
+    for smallest, t in orders:
+        if best is not None and (smallest, t) > best:
+            break
+        S = frozenset(smallest[:t])
+        moved = profile.replace_ballot(i, RankedBallot(smallest, S, 1))
+        for pair in evaluate(moved, spec).pairs:
+            for a, b in (pair, pair[::-1]):
+                if b in S and a not in S:
+                    continue
+                # m0, the margin of a over b without the true ballot, + 1
+                margin = prefs[a][b] - prefs[b][a] - (1 if true.prefers(a, b) else -1) + 1
+                if not goal & ({a} if margin > 0 else {b} if margin < 0 else {a, b}):
+                    continue
+                ranking = list(smallest)
+                if ranking.index(b) < ranking.index(a):
+                    ranking.remove(b)
+                    ranking.insert(ranking.index(a) + 1, b)
+                if best is None or (tuple(ranking), t) < best:
+                    best = (tuple(ranking), t)
+    return best
+
+
+def _lex_rank(ranking: Sequence[int]) -> int:
+    """The index of `ranking` in `itertools.permutations(range(m))`."""
+    rest = sorted(ranking)
+    rank = 0
+    for k, c in enumerate(ranking):
+        rank += rest.index(c) * math.factorial(len(rest) - 1)
+        rest.remove(c)
+    return rank
 
 
 def deviation_violation(
@@ -440,28 +465,6 @@ def deviation_violation(
     )
 
 
-def _sampled_manipulation(profile, spec, mode, budget, base) -> SearchOutcome:
-    rng = random.Random(budget.seed)
-    voters = [i for i, b in enumerate(profile.ballots) if b.weight > 0]
-    if not voters:
-        return SearchOutcome(None, True, 0)  # no deviator: the exhaustive verdict
-    searched = 0
-    for _ in range(budget.samples):
-        i = rng.choice(voters)
-        ranking = list(range(profile.m))
-        rng.shuffle(ranking)
-        t = rng.randint(0, profile.m)
-        ballot = RankedBallot.from_threshold(ranking, t, 1)
-        original = profile.ballots[i]
-        if ballot.ranking == original.ranking and ballot.approved == original.approved:
-            continue
-        searched += 1
-        found = deviation_violation(profile, spec, base, i, ballot, mode)
-        if found is not None:
-            return SearchOutcome(found, False, searched)
-    return SearchOutcome(None, False, searched)
-
-
 def clone_conditions_hold(before, after, a, clone) -> bool:
     for c in before | after:
         if c in (a, clone):
@@ -483,13 +486,14 @@ def in_weak_clone_domain(profile: RankedProfile) -> bool:
 
 def find_clone_violation(
     profile: RankedProfile,
-    a: int,
+    candidates: Iterable[int],
     spec: RuleSpec,
     weak: bool = False,
 ) -> SearchOutcome:
-    """A cloning extension of `a` that changes other candidates' fates or
-    breaks the original/clone equivalence: the first in `cloning_extensions`
-    order, found from one extension.
+    """The first of `candidates` whose cloning changes other candidates'
+    fates or breaks the original/clone equivalence, each judged against one
+    base runoff on one extension: for each candidate `a`, the first in
+    `cloning_extensions` order.
 
     Every extension has one approval projection, since the clone is approved
     exactly where `a` is, so the finalist pairs do not depend on the split of
@@ -505,21 +509,16 @@ def find_clone_violation(
     approved in every non-empty ballot; outside that domain the result is a
     flagged vacuous pass.
     """
-    return _clone_search(profile, spec, weak, [a])
-
-
-def _clone_search(profile, spec, weak, candidates) -> SearchOutcome:
-    """The first of `candidates` whose cloning is a violation, judged
-    against one base runoff; vacuous outside the weak domain."""
     _require_voter_groups(profile)
     if weak and not in_weak_clone_domain(profile):
-        return SearchOutcome(None, True, 0, vacuous=True)
+        return SearchOutcome(None, 0, vacuous=True)
     base = avr(profile, spec).winners
+    searched = 0
     for searched, a in enumerate(candidates, 1):
         found = cloning_violation(profile, spec, base, a, weak)
         if found is not None:
-            return SearchOutcome(found, True, searched)
-    return SearchOutcome(None, True, len(candidates))
+            return SearchOutcome(found, searched)
+    return SearchOutcome(None, searched)
 
 
 def cloning_violation(
@@ -534,7 +533,7 @@ def cloning_violation(
     holds vacuously outside its domain."""
     if weak and not in_weak_clone_domain(profile):
         return None
-    extended = next(clone_extensions(profile, a, [(0,) * len(profile.ballots)]))
+    extended = next(cloning_extensions(profile, a))
     after = avr(extended, spec).winners
     if clone_conditions_hold(winners_before, after, a, profile.m):
         return None
@@ -586,28 +585,24 @@ GRID_EXPECTED: frozenset[tuple[str, str]] = frozenset(
 )
 
 
-def check_axiom(
-    profile: RankedProfile,
-    spec: RuleSpec,
-    axiom: str,
-    budget: SearchBudget = SearchBudget(),
-) -> SearchOutcome:
+def check_axiom(profile: RankedProfile, spec: RuleSpec, axiom: str) -> SearchOutcome:
     """Uniform entry point used by the grid, the CLI, and the scripts."""
     if axiom == PARETO:
         found = pareto_violations(profile, spec)
-        return SearchOutcome(found[0] if found else None, True, 1)
+        return SearchOutcome(found[0] if found else None, 1)
     if axiom == MONOTONICITY:
-        return find_monotonicity_violation(profile, spec, budget)
+        return find_monotonicity_violation(profile, spec)
     if axiom == STRATEGY_PROOFNESS:
         searched = 0
         for mode in ("strong", "weak"):
-            out = find_manipulation(profile, spec, mode, budget)
+            out = find_manipulation(profile, spec, mode)
             searched += out.searched
-            if out.violation is not None or not out.exhausted:
+            if out.violation is not None:
                 break
         return replace(out, searched=searched)
     if axiom in (WEAK_CLONE_PROOFNESS, CLONE_PROOFNESS):
-        return _clone_search(profile, spec, axiom == WEAK_CLONE_PROOFNESS, range(profile.m))
+        return find_clone_violation(profile, range(profile.m), spec,
+                                    axiom == WEAK_CLONE_PROOFNESS)
     raise InputError(f"unknown axiom {axiom!r}")
 
 
@@ -635,11 +630,10 @@ class GridCellReport:
     expected_clean: bool
     profiles_checked: int = 0
     violations: list = field(default_factory=list)
-    inconclusive: int = 0
 
     @property
     def clean(self) -> bool:
-        return not self.violations and not self.inconclusive
+        return not self.violations
 
 
 def run_grid_cell(
@@ -648,7 +642,6 @@ def run_grid_cell(
     axiom: str,
     n_profiles: int,
     seed: int,
-    budget: SearchBudget = SearchBudget(),
     max_m: int = 5,
     max_n: int = 8,
 ) -> GridCellReport:
@@ -659,11 +652,9 @@ def run_grid_cell(
         profile = random_ranked_profile(rng, max_m=max_m, max_n=max_n)
         if not admissible_for_cell(profile, rule_name, axiom):
             continue
-        out = check_axiom(profile, spec, axiom, budget)
+        out = check_axiom(profile, spec, axiom)
         report.profiles_checked += 1
         if out.violation is not None:
             report.violations.append(out.violation)
             break
-        if not out.exhausted:
-            report.inconclusive += 1
     return report

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: score, finalists, winner, sweep-alpha, simulate, axioms,
-network, debias. Exit codes: 0 ok, 1 input error, 2 internal error,
-3 inconclusive axiom search.
+network, debias. Exit codes: 0 ok, 1 input error, 2 internal error.
+Every axiom search is exact, so `axioms` always reaches a verdict.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from avrunoff.runoff import avr
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INTERNAL = 2
-EXIT_INCONCLUSIVE = 3
 
 DEFAULT_SCORE_RULES = "mav,pav,ccav,sphr,sav"
 
@@ -99,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", default=None, help="restrict to one rule")
     p.add_argument("--axiom", default=None, choices=(None,) + axioms_mod.GRID_AXIOMS)
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample this many transformations instead of exhausting")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("network", cmd_network, "candidate affinity network (ballot overlap)")
@@ -292,22 +288,15 @@ def cmd_axioms(args) -> int:
     profile = _load_document(args.profile).profile
     if not isinstance(profile, RankedProfile):
         raise InputError("axiom checks need ranked ballots")
-    budget = axioms_mod.SearchBudget()
-    if args.samples is not None:
-        budget = axioms_mod.SearchBudget(mode="sampled", samples=args.samples,
-                                         seed=args.seed)
     rule_items = axioms_mod.GRID_RULES
     if args.rule:
         rule_items = ((args.rule, RuleSpec.named(args.rule)),)
     axiom_names = axioms_mod.GRID_AXIOMS if not args.axiom else (args.axiom,)
-    cells = {}
-    inconclusive = 0
-    for name, spec in rule_items:
-        for axiom in axiom_names:
-            out = axioms_mod.check_axiom(profile, spec, axiom, budget)
-            cells[(name, axiom)] = out
-            if out.status == "inconclusive":
-                inconclusive += 1
+    cells = {
+        (name, axiom): axioms_mod.check_axiom(profile, spec, axiom)
+        for name, spec in rule_items
+        for axiom in axiom_names
+    }
     if args.format == "json":
         payload = {
             f"{name}/{axiom}": {
@@ -319,20 +308,19 @@ def cmd_axioms(args) -> int:
             for (name, axiom), out in cells.items()
         }
         _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+        return EXIT_OK
     names = [n for n, _ in rule_items]
     width = max(len(n) for n in names + ["rule"])
     cols = [a for a in axiom_names]
     lines = ["  ".join(["rule".ljust(width)] + [c.ljust(18) for c in cols])]
-    marks = {"none": "ok", "violation": "VIOLATION", "inconclusive": "inconclusive?",
-             "vacuous": "vacuous-pass"}
+    marks = {"none": "ok", "violation": "VIOLATION", "vacuous": "vacuous-pass"}
     for name, _ in rule_items:
         row = [name.ljust(width)]
         for axiom in cols:
             row.append(marks[cells[(name, axiom)].status].ljust(18))
         lines.append("  ".join(row).rstrip())
     _emit(args, "\n".join(lines) + "\n")
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_network(args) -> int:

@@ -197,7 +197,7 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
         raise InputError("one reported vote per ballot group required")
     if any(r is None for r in spec.reported):
         raise InputError("every ballot group needs a reported vote to debias")
-    targets = {c: Fraction(s) for c, s in spec.target_shares.items()}
+    targets = {c: exact(s, "target share") for c, s in spec.target_shares.items()}
     if any(s < 0 for s in targets.values()) or sum(targets.values()) > 1:
         raise InputError("target shares must be nonnegative and sum to at most 1")
     ints, denom = profile._int_weights()

@@ -149,6 +149,16 @@ class Tally(NamedTuple):
     split_denom: int
 
 
+def _check_ballot(i: int, b, full: frozenset[int]) -> None:
+    """Ballot `i` fits the candidates `full` = {0..m-1}: it approves only
+    them and, if ranked, ranks each exactly once."""
+    m = len(full)
+    if not b.approved <= full:
+        raise InputError(f"ballot {i} approves ids outside 0..{m - 1}")
+    if isinstance(b, RankedBallot) and (len(b.ranking) != m or frozenset(b.ranking) != full):
+        raise InputError(f"ballot {i}: ranking {b.ranking} is not a permutation of 0..{m - 1}")
+
+
 @dataclass(frozen=True)
 class _Profile:
     """Weighted ballot groups over candidates 0..m-1: what approval and
@@ -161,16 +171,9 @@ class _Profile:
     def __init__(self, m: int, ballots: Iterable, labels=None):
         m = int(m)
         self.__dict__.update(m=m, ballots=tuple(ballots), labels=_check_labels(m, labels))
-        full = frozenset(range(self.m))
+        full = frozenset(range(m))
         for i, b in enumerate(self.ballots):
-            if not b.approved <= full:
-                raise InputError(f"ballot {i} approves ids outside 0..{self.m - 1}")
-            if isinstance(b, RankedBallot) and (
-                len(b.ranking) != self.m or frozenset(b.ranking) != full
-            ):
-                raise InputError(
-                    f"ballot {i}: ranking {b.ranking} is not a permutation of 0..{self.m - 1}"
-                )
+            _check_ballot(i, b, full)
 
     @property
     def total_weight(self) -> Fraction:
@@ -399,13 +402,17 @@ class RankedProfile(_Profile):
         old = self.ballots[index]
         if old.weight != int(old.weight) or old.weight < 1:
             raise InputError("single-voter deviation needs integer group weights")
+        _check_ballot(index if old.weight == 1 else len(self.ballots), new,
+                      frozenset(range(self.m)))
+        unit = _trusted(RankedBallot, ranking=new.ranking, approved=new.approved,
+                        weight=Fraction(1))
         ballots = list(self.ballots)
         if old.weight == 1:
-            ballots[index] = RankedBallot(new.ranking, new.approved, 1)
+            ballots[index] = unit
         else:
-            ballots[index] = RankedBallot(old.ranking, old.approved, old.weight - 1)
-            ballots.append(RankedBallot(new.ranking, new.approved, 1))
-        return RankedProfile(self.m, ballots, self.labels)
+            ballots[index] = _trusted(RankedBallot, **{**old.__dict__, "weight": old.weight - 1})
+            ballots.append(unit)
+        return _trusted(RankedProfile, m=self.m, ballots=tuple(ballots), labels=self.labels)
 
 
 Profile = Union[ApprovalProfile, RankedProfile]

@@ -465,8 +465,8 @@ def regression_suite() -> RegressionReport:
         stored_grid_counterexample(r, axioms.WEAK_CLONE_PROOFNESS).verify()
         for r in CLONE_BREAKING_RULES))
     check("cloning/coverage rules survive exhaustive cloning of the witness", lambda: all(
-        axioms.find_clone_violation(WB, a, grid_rule(r), weak=True).status == "none"
-        for r in ("ccav", "sccav") for a in range(WB.m)))
+        axioms.find_clone_violation(WB, range(WB.m), grid_rule(r), weak=True).status == "none"
+        for r in ("ccav", "sccav")))
     check("cloning/quota rule breaks on the high-multiplicity witness", lambda:
           stored_grid_counterexample("enephr", axioms.WEAK_CLONE_PROOFNESS).verify())
     check("cloning/all-pairs runoff breaks by cloning the pairwise loser", lambda:

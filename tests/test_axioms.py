@@ -1,4 +1,4 @@
-"""Axiom checker behavior: stored witnesses, search soundness, budgets."""
+"""Axiom checker behavior: stored witnesses, search soundness, first witnesses."""
 
 import dataclasses
 import itertools
@@ -12,14 +12,15 @@ from avrunoff.axioms import (
     MONOTONICITY,
     PARETO,
     WEAK_CLONE_PROOFNESS,
-    SearchBudget,
     a_improvements,
     check_axiom,
     check_favorite_consistency,
     cloning_extensions,
+    deviation_violation,
     find_clone_violation,
     find_manipulation,
     find_monotonicity_violation,
+    i_deviations,
     in_weak_clone_domain,
     pareto_violations,
     random_ranked_profile,
@@ -219,19 +220,97 @@ class TestManipulationSearch:
             ours = find_manipulation(profile, spec, "strong")
             assert (ours.status == "violation") == brute_found
 
-    def test_budget_overflow_raises_in_exhaustive_mode(self):
-        profile = random_ranked_profile(random.Random(1), max_m=5, max_n=5)
-        tight = SearchBudget(max_space=10)
-        with pytest.raises(InputError):
-            find_manipulation(profile, CCAV, "strong", tight)
 
-    def test_sampled_search_reports_inconclusive(self):
-        profile = random_ranked_profile(random.Random(2), max_m=4, max_n=4)
-        out = find_manipulation(profile, TRIV, "strong",
-                                SearchBudget(mode="sampled", samples=5, seed=1))
-        assert out.status in ("inconclusive", "violation")
-        if out.violation is None:
-            assert not out.exhausted
+def enumerated_manipulation(profile, spec, mode):
+    """The manipulation search as the loop over `i_deviations` that it was:
+    every deviation of every voter in order, each through
+    `deviation_violation`, with no voter skipped before its deviations."""
+    base = avr(profile, spec).winners
+    searched = 0
+    for i, true_ballot in enumerate(profile.ballots):
+        if true_ballot.weight == 0:
+            continue
+        for ballot in i_deviations(profile, i):
+            searched += 1
+            found = deviation_violation(profile, spec, base, i, ballot, mode)
+            if found is not None:
+                return found, searched
+    return None, searched
+
+
+def manipulation_profile(rng, m, groups):
+    """A unit voter, then groups of weight 0-4. Each ballot approves at most
+    two candidates, so that one voter's approvals can move the finalists;
+    one ballot in three approves a random set, most often not a prefix of
+    its ranking."""
+    ballots = []
+    for k in range(groups):
+        ranking = rng.sample(range(m), m)
+        if rng.random() < 1 / 3:
+            approved = rng.sample(range(m), rng.randint(0, 2))
+        else:
+            approved = ranking[:rng.randint(0, 2)]
+        ballots.append(RankedBallot(ranking, approved, rng.randint(0, 4) if k else 1))
+    return RankedProfile(m, ballots)
+
+
+class TestFirstDeviation:
+    SPECS = [spec for _, spec in axioms.GRID_RULES] + [
+        RuleSpec.named(name) for name in ("2av", "ccav+", "alpha-seq:1/3")]
+
+    def test_first_witness_is_the_enumerations(self):
+        # the oracle runs up to 5,039 deviations per voter at m = 6, so the
+        # two six-candidate profiles run under two rules each
+        rng = random.Random(274)
+        cases = [(manipulation_profile(rng, m, 3 if m < 5 else 2), self.SPECS)
+                 for m in (2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5)]
+        cases += [(manipulation_profile(rng, 6, 2), [RuleSpec.named(name) for name in pair])
+                  for pair in (("mav", "ccav"), ("pav", "sav"))]
+        seen = set()
+        for profile, specs in cases:
+            if not all(b.is_consistent() for b in profile.ballots):
+                seen.add("not a prefix")
+            if any(b.weight == 0 for b in profile.ballots):
+                seen.add("zero weight")
+            for spec in specs:
+                for mode in ("strong", "weak"):
+                    expected, searched = enumerated_manipulation(profile, spec, mode)
+                    out = find_manipulation(profile, spec, mode)
+                    got = out.violation
+                    seen.add((mode, out.status))
+                    assert out.searched == searched, (profile, spec, mode)
+                    if expected is None:
+                        assert got is None, (profile, spec, mode)
+                        continue
+                    seen.add(("violation at m", profile.m))
+                    assert got is not None and got.verify(), (profile, spec, mode)
+                    assert (got.voter, got.ballot, got.transformed, got.winners_after) == (
+                        expected.voter, expected.ballot, expected.transformed,
+                        expected.winners_after), (profile, spec, mode)
+        assert seen >= {"not a prefix", "zero weight", ("strong", "violation"),
+                        ("weak", "violation"), ("strong", "none"), ("weak", "none"),
+                        ("violation at m", 5), ("violation at m", 6)}, seen
+
+    def test_searched_counts_a_voter_whose_approvals_are_no_prefix(self):
+        # voter 1's own ballot is not among its deviations: 23 + 24
+        profile = RankedProfile(3, [RankedBallot((0, 1, 2), {0}, 2),
+                                    RankedBallot((2, 1, 0), {0}, 1)])
+        out = find_manipulation(profile, MAV, "weak")
+        assert (out.status, out.searched) == ("none", 47)
+        assert out.searched == sum(1 for i in range(2) for _ in i_deviations(profile, i))
+
+    def test_seven_candidates_get_a_verdict(self):
+        rng = random.Random(89)
+        profile = RankedProfile(7, [
+            RankedBallot.from_threshold(rng.sample(range(7), 7), rng.randint(1, 4), 1)
+            for _ in range(13)
+        ])
+        statuses = set()
+        for _, spec in axioms.GRID_RULES:
+            out = check_axiom(profile, spec, axioms.STRATEGY_PROOFNESS)
+            statuses.add(out.status)
+            assert out.violation is None or out.violation.verify()
+        assert statuses == {"none", "violation"}
 
 
 class TestCloneSearch:
@@ -242,7 +321,7 @@ class TestCloneSearch:
 
     def test_vacuous_pass_outside_domain(self):
         out = find_clone_violation(
-            witnesses.CLONE_TWO_CANDIDATE_WITNESS, 0, CCAV, weak=True
+            witnesses.CLONE_TWO_CANDIDATE_WITNESS, [0], CCAV, weak=True
         )
         assert out.status == "vacuous"
 
@@ -271,7 +350,7 @@ class TestCloneSearch:
             checked += 1
             for spec in (CCAV, SCCAV):
                 for a in range(profile.m):
-                    assert find_clone_violation(profile, a, spec, weak=True).status == "none"
+                    assert find_clone_violation(profile, [a], spec, weak=True).status == "none"
 
     def test_witnesses_break_the_other_rules(self):
         for name in witnesses.CLONE_BREAKING_RULES:
@@ -307,7 +386,7 @@ class TestCloneSearch:
                     ).winners
                     if not axioms.clone_conditions_hold(base, after, a, clone):
                         brute_found = True
-                ours = find_clone_violation(profile, a, spec)
+                ours = find_clone_violation(profile, [a], spec)
                 assert (ours.status == "violation") == brute_found
 
     def test_sign_class_search_matches_the_full_enumeration(self):
@@ -336,7 +415,7 @@ class TestCloneSearch:
                             first_hit = (ext, after)
                             break
                     for weak in (False, True):
-                        out = find_clone_violation(profile, a, spec, weak=weak)
+                        out = find_clone_violation(profile, [a], spec, weak=weak)
                         seen.add(out.status)
                         if weak and not in_weak_clone_domain(profile):
                             assert out.status == "vacuous"
@@ -355,7 +434,7 @@ class TestVerify:
         lambda: find_monotonicity_violation(witnesses.MONOTONICITY_WITNESS,
                                             witnesses.grid_rule("pav")),
         lambda: find_manipulation(witnesses.COVERAGE_MANIPULATION_WITNESS, CCAV, "strong"),
-        lambda: find_clone_violation(witnesses.CLONE_TWO_BLOC_WITNESS, 0, MAV, weak=True),
+        lambda: find_clone_violation(witnesses.CLONE_TWO_BLOC_WITNESS, [0], MAV, weak=True),
     ], ids=["monotonicity", "strategy-proofness", "clone"])
     def test_rejects_a_transformed_profile_that_is_not_the_recorded_change(self, search):
         v = search().violation
@@ -392,7 +471,7 @@ class TestCheckAxiomEntryPoint:
                                     (WEAK_CLONE_PROOFNESS, True)):
                     outs = []
                     for a in range(m):
-                        outs.append(find_clone_violation(profile, a, spec, weak=weak))
+                        outs.append(find_clone_violation(profile, [a], spec, weak=weak))
                         if outs[-1].violation is not None:
                             break
                     cell = check_axiom(profile, spec, axiom)

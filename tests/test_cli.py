@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from avrunoff.axioms import GRID_RULES
 from avrunoff.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -150,28 +152,13 @@ class TestAxioms:
         assert "ok" in rows["mav"]
         assert "ok" in rows["triv"]
 
-    def test_sampled_budget_exits_inconclusive(self, capsys):
-        code, out, _ = run(capsys, "axioms", "--profile", RANKED, "--rule", "mav",
-                           "--axiom", "strategy-proofness", "--samples", "3")
-        assert code == 3
-        assert "inconclusive" in out
-
-    @pytest.mark.parametrize("samples,code,status", [
-        ("10", 3, "inconclusive"), ("37", 0, "none"), ("100", 0, "none"),
-    ])
-    def test_sampled_monotonicity_honours_the_budget(self, capsys, samples, code, status):
-        got, out, _ = run(capsys, "axioms", "--profile", SURVEY, "--axiom", "monotonicity",
-                          "--rule", "mav", "--samples", samples, "--format", "json")
-        assert got == code
-        assert json.loads(out)["mav/monotonicity"]["status"] == status
-
-    @pytest.mark.parametrize("profile,extra,violated", [
-        (SURVEY, (), {"triv"}),
-        (RANKED, ("--samples", "5"), {"mav", "sav", "triv"}),
+    @pytest.mark.parametrize("profile,violated", [
+        (SURVEY, {"triv"}),
+        (RANKED, {"mav", "sav", "triv"}),
     ], ids=["survey", "ranked-sampled"])
-    def test_clone_search_is_exact_at_any_size(self, capsys, profile, extra, violated):
+    def test_clone_search_is_exact_at_any_size(self, capsys, profile, violated):
         code, out, _ = run(capsys, "axioms", "--profile", profile,
-                           "--axiom", "weak-clone-proofness", *extra, "--format", "json")
+                           "--axiom", "weak-clone-proofness", "--format", "json")
         assert code == 0
         statuses = {key.split("/")[0]: cell["status"] for key, cell in json.loads(out).items()}
         assert statuses == {name: "violation" if name in violated else "none"
@@ -185,6 +172,30 @@ class TestAxioms:
         assert code == 0
         cell = json.loads(out)["triv/strategy-proofness"]
         assert (cell["status"], cell["searched"]) == ("none", 1666)
+
+    def test_seven_candidates_and_thirteen_voters_get_a_verdict(self, capsys, tmp_path):
+        # 13 * (7! * 8 - 1) = 524,147 deviations, each profile-sized search
+        # is decided without enumerating them
+        rng = random.Random(89)
+        lines = ["candidates: a b c d e f g"]
+        for _ in range(13):
+            ranking = rng.sample("abcdefg", 7)
+            t = rng.randint(1, 4)
+            lines.append("1 * " + " ".join(ranking[:t]) + " | " + " ".join(ranking[t:]))
+        profile = tmp_path / "seven.avr"
+        profile.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "axioms", "--profile", str(profile),
+                           "--axiom", "strategy-proofness", "--format", "json")
+        assert code == 0
+        statuses = {key.split("/")[0]: cell["status"] for key, cell in json.loads(out).items()}
+        assert set(statuses) == {name for name, _ in GRID_RULES}
+        assert set(statuses.values()) == {"none", "violation"}
+
+    @pytest.mark.parametrize("option", [("--samples", "5"), ("--seed", "1")])
+    def test_search_options_are_gone(self, capsys, option):
+        code, out, _ = run(capsys, "axioms", "--profile", RANKED, "--rule", "mav",
+                           "--axiom", "strategy-proofness", *option)
+        assert (code, out) == (1, "")
 
     def test_json_format(self, capsys, tmp_path):
         profile = tmp_path / "p.avr"
@@ -252,14 +263,14 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
     def test_sampled_search_with_only_zero_weight_groups(self, capsys, tmp_path):
-        # no voter can deviate, so the sampled search gives the exhaustive verdict
+        # no voter can deviate: a verdict, and the same one on every run
         profile = tmp_path / "nobody.avr"
         profile.write_text("candidates: a b\n0 * a | b\n")
         argv = ("axioms", "--profile", str(profile), "--rule", "mav",
                 "--axiom", "strategy-proofness", "--format", "json")
         exhaustive = run(capsys, *argv)
         assert exhaustive[0] == 0
-        assert run(capsys, *argv, "--samples", "5") == exhaustive
+        assert run(capsys, *argv) == exhaustive
 
     @pytest.mark.parametrize("argv", [
         ("network", "--profile", SPECTRUM, "--threshold", "abc"),
@@ -267,10 +278,6 @@ class TestExitCodes:
         ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/0"),
         ("simulate", "--d", "abc"),
         ("sweep-alpha", "--profile", SPECTRUM, "--points", "1"),
-        ("axioms", "--profile", RANKED, "--rule", "mav", "--axiom", "strategy-proofness",
-         "--samples", "-1"),
-        ("axioms", "--profile", RANKED, "--rule", "mav", "--axiom", "strategy-proofness",
-         "--samples", "0"),
     ])
     def test_malformed_number_is_an_input_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -355,6 +355,20 @@ class TestDebias:
         with pytest.raises(InputError, match="sum"):
             debias(doc.profile, DebiasSpec(doc.reported, {0: F(3, 4), 1: F(3, 4)}))
 
+    @pytest.mark.parametrize("targets", [{0: 0.1, 1: 0.9}, {0: 0.5, 1: 0.25}],
+                             ids=["sum-one", "sum-below-one"])
+    def test_float_targets_rejected(self, targets):
+        doc = self._doc()
+        with pytest.raises(InputError, match="float target share"):
+            debias(doc.profile, DebiasSpec(doc.reported, targets))
+
+    def test_text_and_fraction_targets_read_exactly(self):
+        doc = self._doc()
+        by_text = debias(doc.profile, DebiasSpec(doc.reported, {0: "0.1", 1: "9/10"}))
+        by_fraction = debias(doc.profile, DebiasSpec(doc.reported, {0: F(1, 10), 1: F(9, 10)}))
+        assert by_text == by_fraction
+        assert by_text.ballots[0].weight == 100 * F(1, 10)
+
     @given(ranked_profiles(max_m=3, max_n=4))
     def test_total_weight_preserved_and_nonnegative(self, profile):
         if profile.total_weight == 0:

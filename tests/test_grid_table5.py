@@ -52,7 +52,6 @@ def test_checked_cell_clean_on_random_profiles(rule_name, axiom):
     )
     assert report.profiles_checked == N_PROFILES
     assert not report.violations, report.violations[:1]
-    assert not report.inconclusive
 
 
 @pytest.mark.parametrize("rule_name,axiom", BLANK, ids=lambda v: str(v))

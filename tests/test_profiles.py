@@ -203,6 +203,35 @@ class TestValidate:
             evaluate(ApprovalProfile(2, [ApprovalBallot(approved, 1)]), MAV)
 
 
+
+class TestReplaceBallot:
+    BASE = RankedProfile(3, [RankedBallot((0, 1, 2), {0}, 2), RankedBallot((2, 1, 0), {2}, 1)])
+
+    @pytest.mark.parametrize("new", [
+        RankedBallot((0, 0, 1), {0}),
+        RankedBallot((0, 1), {0}),
+        RankedBallot((0, 1, 2), {3}),
+    ], ids=["not-a-permutation", "short-ranking", "approved-id-above-m"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["split-group", "single-voter"])
+    def test_deviating_ballot_must_fit(self, new, index):
+        with pytest.raises(InputError):
+            self.BASE.replace_ballot(index, new)
+
+    @pytest.mark.parametrize("weight", [Fraction(3, 2), 0], ids=["fractional", "zero"])
+    def test_group_must_hold_a_whole_voter(self, weight):
+        profile = RankedProfile(3, [RankedBallot((0, 1, 2), {0}, weight)])
+        with pytest.raises(InputError, match="integer group weights"):
+            profile.replace_ballot(0, RankedBallot((1, 0, 2), {1}))
+
+    def test_one_unit_moves_to_the_new_ballot(self):
+        new = RankedBallot((1, 2, 0), {1, 2}, 5)
+        assert self.BASE.replace_ballot(0, new) == RankedProfile(3, [
+            RankedBallot((0, 1, 2), {0}, 1), RankedBallot((2, 1, 0), {2}, 1),
+            RankedBallot((1, 2, 0), {1, 2}, 1)])
+        assert self.BASE.replace_ballot(1, new) == RankedProfile(3, [
+            RankedBallot((0, 1, 2), {0}, 2), RankedBallot((1, 2, 0), {1, 2}, 1)])
+
+
 class TestSymmetries:
     @given(ranked_profiles(), st.integers(1, 5), st.integers(1, 5))
     def test_homogeneity(self, profile, num, den):
