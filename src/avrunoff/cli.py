@@ -277,7 +277,10 @@ def cmd_simulate(args) -> int:
         candidate_placement=args.placement,
         seed=args.seed,
     )
-    ds = [float(exact(x, "radius")) for x in args.d.split(",") if x.strip()]
+    try:
+        ds = [float(exact(x, "radius")) for x in args.d.split(",") if x.strip()]
+    except OverflowError:
+        raise InputError(f"a radius in {args.d!r} is too large for a float") from None
     alphas = [exact(x, "alpha") for x in args.alphas.split(",") if x.strip()]
     rows = spatial.sweep(config, alphas, ds)
     _emit(args, spatial.sweep_csv(rows))

@@ -278,11 +278,22 @@ class TestExitCodes:
         ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/0"),
         ("simulate", "--d", "abc"),
         ("sweep-alpha", "--profile", SPECTRUM, "--points", "1"),
+        ("simulate", "--d", "1e400"),
     ])
     def test_malformed_number_is_an_input_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,named", [
+        (("simulate", "--seed", "-1"), "seed"),
+        (("simulate", "--placement", "sampled", "--seed", "-5"), "seed"),
+        (("simulate", "--d", "0.5,1e400"), "radius in '0.5,1e400'"),
+    ])
+    def test_out_of_range_simulation_input_is_named(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and named in err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
     def test_targets_that_are_not_an_object(self, capsys, tmp_path, text):

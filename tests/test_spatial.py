@@ -1,5 +1,8 @@
+import importlib.util
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,6 +16,20 @@ from avrunoff.rules import CandidatePair, alpha_seq_av
 F = Fraction
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy<2 fallback
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def stdlib_normal_ppf(u: np.ndarray) -> np.ndarray:
+    """The oracle of `spatial._normal_ppf`: one `NormalDist().inv_cdf` per entry."""
+    inv = NormalDist().inv_cdf
+    return np.array([inv(x) for x in u])
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype == np.float64 and got.shape == expected.shape
+    differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, (differ.size, differ[:5])
 
 
 class TestDensity:
@@ -151,6 +168,33 @@ class TestSampling:
         assert report.second_position in set(float(x) for x in grid)
 
 
+class TestNormalQuantiles:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 20000])
+    def test_gaussian_voters_equal_the_stdlib_loop(self, monkeypatch, n):
+        for seed in (0, 1, 7, 12345):
+            config = spatial.SpatialConfig(distribution=spatial.GAUSSIAN, n_voters=n,
+                                           seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(spatial, "_normal_ppf", stdlib_normal_ppf)
+                expected = spatial.sample_voters(config)
+            assert_same_bits(spatial.sample_voters(config), expected)
+
+    def test_every_branch_and_its_edges_equal_the_stdlib_loop(self):
+        # |q| = 0.425 at 0.075 and 0.925, q = 0 at 0.5, the clip ends, and
+        # r = sqrt(-log p) = 5 at p = exp(-25), about 1.39e-11
+        picked = np.array([0.075, 0.925, 0.5, 1e-12, 1.0 - 1e-12, 1e-11, 1.0 - 1e-11,
+                           float(np.exp(-25.0)), 1.0 - float(np.exp(-25.0))])
+        u = np.concatenate([picked, np.nextafter(picked, 0.0), np.nextafter(picked, 1.0)])
+        # a dense sweep of both tails, where the log enters
+        tail = np.geomspace(1e-12, 0.075, 200_000)
+        u = np.concatenate([u, tail, 1.0 - tail])
+        q = u - 0.5
+        r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+        central = np.abs(q) <= 0.425
+        assert central.any() and (~central & (r <= 5.0)).any() and (r > 5.0).any()
+        assert_same_bits(spatial._normal_ppf(u), stdlib_normal_ppf(u))
+
+
 class TestFastPathEquivalence:
     @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
     @pytest.mark.parametrize("alpha", [F(0), F(3, 10), F(1, 2), F(1)])
@@ -256,6 +300,19 @@ class TestSweep:
                 value = [s * a.denominator - a.numerator * j for s, j in zip(scores, joint)]
                 value[i1] = min(value) - 1
                 assert next(rows).empirical == abs(grid[argbest(value)]), (d, a)
+
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    def test_the_sweep_script_rebuilds_the_golden_csv(self, dist):
+        # the grid of scripts/spatial_sweep.py, whose CSV files are copied
+        # under tests/golden/
+        spec = importlib.util.spec_from_file_location(
+            "spatial_sweep_script", ROOT / "scripts" / "spatial_sweep.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        config = spatial.SpatialConfig(distribution=dist, seed=7)
+        text = spatial.sweep_csv(spatial.sweep(config, script.ALPHAS, script.DS))
+        golden = ROOT / "tests" / "golden" / f"second_finalist_{dist}.csv"
+        assert text.encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("alphas,ds,message", [
         ([F(1, 2)], [0, 0.2], "approval radius d must be positive"),
