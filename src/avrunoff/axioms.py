@@ -8,7 +8,8 @@ the transformed profile, runs the runoff on it and returns the `Violation`
 or None; the searches, the stored witnesses and `Violation.verify` all go
 through it. Searches return the first hit of a fixed deterministic order,
 the lexicographically smallest witness, and every search is exact at any
-profile size: the monotonicity search enumerates its polynomial space, the
+profile size: the monotonicity search enumerates its polynomial space and
+runs the runoff only on the improvements that change approvals, the
 manipulation search evaluates the rule once per voter and approval set, and
 the clone search runs one extension per candidate.
 """
@@ -79,7 +80,7 @@ class Violation:
                 and self.candidate in before
             )
         if self.axiom == MONOTONICITY:
-            improvements = a_improvements(self.profile, self.candidate, consistent=False)
+            improvements = a_improvements(self.profile, self.candidate)
             if (self.voter, self.ballot) not in improvements:
                 return False
             replay = improvement_violation(
@@ -170,20 +171,17 @@ def _move(ranking: tuple[int, ...], frm: int, to: int) -> tuple[int, ...]:
     return tuple(items)
 
 
-def a_improvements(
-    profile: RankedProfile, a: int, consistent: bool = True
-) -> Iterator[tuple[int, RankedBallot]]:
+def a_improvements(profile: RankedProfile, a: int) -> Iterator[tuple[int, RankedBallot]]:
     """Single-voter changes that move `a` up and/or add it to the approvals.
 
-    In consistent mode (the default) the deviating ballot keeps its
-    approvals equal to a ranking prefix; the opt-in unrestricted mode allows
-    the approval set and ranking to decouple.
+    A ballot whose approvals are a ranking prefix keeps them a prefix; any
+    other ballot may raise `a` and approve it at or above its place.
     """
     for i, b in enumerate(profile.ballots):
         if b.weight == 0:
             continue
         pos = b.position(a)
-        if consistent and b.is_consistent():
+        if b.is_consistent():
             t = b.threshold
             if a in b.approved:
                 for j in range(pos):
@@ -268,21 +266,26 @@ def _require_voter_groups(profile: RankedProfile) -> None:
             )
 
 
-def find_monotonicity_violation(
-    profile: RankedProfile,
-    spec: RuleSpec,
-    consistent: bool = True,
-) -> SearchOutcome:
+def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> SearchOutcome:
     """A winner `a` and an a-improvement after which `a` no longer wins.
 
-    The space, at most |winners| * n * (2m + 1) improvements, is enumerated.
+    The space, at most |winners| * n * (2m + 1) improvements, is enumerated
+    in the order of `a_improvements`, and `searched` counts each one up to
+    the witness. Only the improvements that add `a` to the voter's
+    approvals are run. One that keeps them cannot unseat `a`: the rule
+    reads only the approval tally, which it leaves as it was, so the
+    finalist pairs stay the same; and it moves only `a` up, so `a`'s
+    majority margin against each rival rises or stays, and `a` still wins
+    every pair it won.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec)
     searched = 0
     for a in sorted(base.winners):
-        for i, ballot in a_improvements(profile, a, consistent):
+        for i, ballot in a_improvements(profile, a):
             searched += 1
+            if ballot.approved == profile.ballots[i].approved:
+                continue
             found = improvement_violation(profile, spec, base.winners, a, i, ballot)
             if found is not None:
                 return SearchOutcome(found, searched)

@@ -277,10 +277,15 @@ def cmd_simulate(args) -> int:
         candidate_placement=args.placement,
         seed=args.seed,
     )
-    try:
-        ds = [float(exact(x, "radius")) for x in args.d.split(",") if x.strip()]
-    except OverflowError:
-        raise InputError(f"a radius in {args.d!r} is too large for a float") from None
+    ds = []
+    for text in filter(str.strip, args.d.split(",")):
+        radius = exact(text, "radius")
+        try:
+            ds.append(float(radius))
+        except OverflowError:
+            raise InputError(f"a radius in {args.d!r} is too large for a float") from None
+        if radius > 0 and ds[-1] == 0:
+            raise InputError(f"a radius in {args.d!r} is too small for a float")
     alphas = [exact(x, "alpha") for x in args.alphas.split(",") if x.strip()]
     rows = spatial.sweep(config, alphas, ds)
     _emit(args, spatial.sweep_csv(rows))

@@ -74,7 +74,7 @@ class RankedBallot:
     The approved set is stored explicitly rather than as a threshold so
     that ballots breaking prefix consistency (approving someone ranked
     below an unapproved candidate) remain representable; axiom searches
-    need them. `RankedProfile.validate()` flags such ballots.
+    need them. `is_consistent()` tells such ballots apart.
     """
 
     ranking: tuple[int, ...]
@@ -114,12 +114,6 @@ class RankedBallot:
     def is_consistent(self) -> bool:
         """True if the approved set is exactly the top-|approved| prefix."""
         return self.approved == frozenset(self.ranking[: len(self.approved)])
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    ballot_index: Optional[int]
-    message: str
 
 
 def _check_labels(m: int, labels) -> tuple[str, ...]:
@@ -384,14 +378,6 @@ class RankedProfile(_Profile):
             if all(self._margin(c, other) < 0 for other in range(self.m) if other != c):
                 return c
         return None
-
-    def validate(self) -> list[ValidationIssue]:
-        """Ballots whose approved set is not a top prefix of their ranking."""
-        return [
-            ValidationIssue(i, "approved set is not the top prefix of the ranking")
-            for i, b in enumerate(self.ballots)
-            if not b.is_consistent()
-        ]
 
     def replace_ballot(self, index: int, new: RankedBallot) -> "RankedProfile":
         """Split one unit of weight off group `index` and give it ballot `new`.

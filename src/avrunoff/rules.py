@@ -70,17 +70,6 @@ def _one_of(params: tuple[Param, ...], values) -> tuple[Param, Fraction]:
     return param, param.check(value)
 
 
-def _for_kind(kind: str):
-    """A RuleSpec constructor for one kind, taking its parameters in order
-    or by name."""
-
-    def make(cls, *args, **kwargs) -> "RuleSpec":
-        fields = [p.field for p in _KINDS[kind].params]
-        return cls(kind, **dict(zip(fields, args)), **kwargs)
-
-    return classmethod(make)
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """Which rule to run, with its exact-rational parameters.
@@ -106,11 +95,6 @@ class RuleSpec:
         if params:
             param, value = _one_of(params, [getattr(self, p.field) for p in params])
             object.__setattr__(self, param.field, value)
-
-    alpha_av = _for_kind("alpha-av")
-    alpha_seq = _for_kind("alpha-seq")
-    seq_phragmen = _for_kind("seq-phragmen")
-    enestrom_phragmen = _for_kind("enestrom-phragmen")
 
     @classmethod
     def named(cls, name: str, quota_beta=None) -> "RuleSpec":

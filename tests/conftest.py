@@ -1,9 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from avrunoff import witnesses
+from avrunoff.fileio import parse_profile
 from avrunoff.profiles import (
     ApprovalBallot,
     ApprovalProfile,
@@ -12,14 +13,17 @@ from avrunoff.profiles import (
 )
 
 
-@pytest.fixture
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.fixture(scope="session")
 def spectrum() -> ApprovalProfile:
-    return witnesses.SPECTRUM_PROFILE
+    return parse_profile((DATA / "spectrum.avr").read_text())
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def spectrum_ranked() -> RankedProfile:
-    return witnesses.SPECTRUM_RANKED
+    return parse_profile((DATA / "spectrum_ranked.avr").read_text())
 
 
 def small_weights(fractional=False):

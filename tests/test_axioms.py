@@ -21,6 +21,7 @@ from avrunoff.axioms import (
     find_manipulation,
     find_monotonicity_violation,
     i_deviations,
+    improvement_violation,
     in_weak_clone_domain,
     pareto_violations,
     random_ranked_profile,
@@ -28,13 +29,16 @@ from avrunoff.axioms import (
 from avrunoff.profiles import InputError, RankedBallot, RankedProfile
 from avrunoff.rules import CCAV, MAV, SCCAV, TRIV, RuleSpec
 from avrunoff.runoff import avr
+from test_witnesses import (
+    CLONE_BREAKING_RULES,
+    CLONE_DEGENERATE_PROFILE,
+    CLONE_TWO_CANDIDATE_WITNESS,
+    FAVORITE_DROP_WITNESS,
+    NONMONOTONE_RULES,
+)
 
 
 class TestRegressionSuite:
-    def test_every_stored_claim_replays(self):
-        report = witnesses.regression_suite()
-        assert report.all_passed, report.summary()
-
     def test_every_stored_witness_verifies(self):
         for name, _ in axioms.GRID_RULES:
             for axiom in axioms.GRID_AXIOMS:
@@ -49,9 +53,9 @@ class TestRegressionSuite:
 class TestFavoriteConsistency:
     def test_sequential_rules_always_pass(self):
         rng = random.Random(11)
-        seq_specs = [RuleSpec.alpha_seq(Fraction(1, 2)), RuleSpec.alpha_seq(1),
-                     RuleSpec.seq_phragmen(),
-                     RuleSpec.enestrom_phragmen(beta=Fraction(1, 3))]
+        seq_specs = [RuleSpec("alpha-seq", alpha=Fraction(1, 2)),
+                     RuleSpec("alpha-seq", alpha=1), RuleSpec("seq-phragmen"),
+                     RuleSpec("enestrom-phragmen", beta=Fraction(1, 3))]
         for _ in range(150):
             profile = random_ranked_profile(rng)
             for spec in seq_specs:
@@ -61,7 +65,7 @@ class TestFavoriteConsistency:
         assert check_favorite_consistency(spectrum, CCAV) is None
 
     def test_stored_drop_witness(self):
-        violation = check_favorite_consistency(witnesses.FAVORITE_DROP_WITNESS, CCAV)
+        violation = check_favorite_consistency(FAVORITE_DROP_WITNESS, CCAV)
         assert violation is not None
         assert violation.pair.members() == {1, 2}
         assert violation.verify()
@@ -111,9 +115,9 @@ def brute_improvements(profile, a):
 
 class TestMonotonicitySearch:
     def test_witness_found_for_discounted_rules(self):
-        for name in witnesses.NONMONOTONE_RULES:
+        for name in NONMONOTONE_RULES:
             out = find_monotonicity_violation(
-                witnesses.MONOTONICITY_WITNESS, witnesses.grid_rule(name)
+                witnesses.MONOTONICITY_WITNESS, RuleSpec.named(name)
             )
             assert out.status == "violation", name
             assert out.violation.verify()
@@ -130,7 +134,7 @@ class TestMonotonicitySearch:
             for a in range(profile.m):
                 ours = {
                     (i, b.ranking, b.approved)
-                    for i, b in a_improvements(profile, a, consistent=True)
+                    for i, b in a_improvements(profile, a)
                 }
                 brute = {
                     (i, b.ranking, b.approved) for i, b in brute_improvements(profile, a)
@@ -139,7 +143,7 @@ class TestMonotonicitySearch:
 
     def test_search_agrees_with_brute_force_verdict(self):
         rng = random.Random(99)
-        spec = witnesses.grid_rule("pav")
+        spec = RuleSpec.named("pav")
         disagreements = 0
         for _ in range(60):
             profile = random_ranked_profile(rng, max_m=3, max_n=4)
@@ -155,28 +159,38 @@ class TestMonotonicitySearch:
                 disagreements += 1
         assert disagreements == 0
 
-    def test_unrestricted_mode_is_a_superset(self):
-        profile = witnesses.MONOTONICITY_WITNESS
-        a = 0
-        consistent = set(
-            (i, b.ranking, b.approved) for i, b in a_improvements(profile, a, True)
-        )
-        free = set(
-            (i, b.ranking, b.approved) for i, b in a_improvements(profile, a, False)
-        )
-        assert consistent <= free
+    def test_first_witness_is_the_full_loops(self):
+        # the search runs the runoff only on the improvements that change the
+        # voter's approvals; the oracle runs it on every improvement
+        rng = random.Random(83)
+        specs = TestFirstDeviation.SPECS
+        seen = set()
+        for m in (2, 3, 3, 4, 4, 5) * 6:
+            profile = manipulation_profile(rng, m, rng.randint(2, 4))
+            if not all(b.is_consistent() for b in profile.ballots):
+                seen.add("not a prefix")
+            if any(b.weight == 0 for b in profile.ballots):
+                seen.add("zero weight")
+            for spec in specs:
+                expected, searched = enumerated_monotonicity(profile, spec)
+                out = find_monotonicity_violation(profile, spec)
+                seen.add(out.status)
+                assert (out.violation, out.searched) == (expected, searched), (profile, spec)
+        assert seen == {"not a prefix", "zero weight", "none", "violation"}, seen
 
-    def test_unrestricted_improvements_flow_through_the_runoff(self):
-        # prefix consistency is not required downstream: an add-without-move
-        # improvement may decouple approvals from the ranking
-        profile = witnesses.MONOTONICITY_WITNESS
-        rng = random.Random(7)
-        for _ in range(3):
-            out = find_monotonicity_violation(
-                profile, witnesses.grid_rule("pav"), consistent=False
-            )
-            assert out.status == "violation"
-            assert out.violation.verify()
+
+def enumerated_monotonicity(profile, spec):
+    """The monotonicity search as the loop that runs the runoff on every
+    a-improvement of every winner, in order."""
+    base = avr(profile, spec).winners
+    searched = 0
+    for a in sorted(base):
+        for i, ballot in a_improvements(profile, a):
+            searched += 1
+            found = improvement_violation(profile, spec, base, a, i, ballot)
+            if found is not None:
+                return found, searched
+    return None, searched
 
 
 class TestManipulationSearch:
@@ -316,12 +330,12 @@ class TestFirstDeviation:
 class TestCloneSearch:
     def test_weak_domain_detection(self):
         assert in_weak_clone_domain(witnesses.CLONE_TWO_BLOC_WITNESS)
-        assert not in_weak_clone_domain(witnesses.CLONE_TWO_CANDIDATE_WITNESS)
-        assert not in_weak_clone_domain(witnesses.CLONE_DEGENERATE_PROFILE)
+        assert not in_weak_clone_domain(CLONE_TWO_CANDIDATE_WITNESS)
+        assert not in_weak_clone_domain(CLONE_DEGENERATE_PROFILE)
 
     def test_vacuous_pass_outside_domain(self):
         out = find_clone_violation(
-            witnesses.CLONE_TWO_CANDIDATE_WITNESS, [0], CCAV, weak=True
+            CLONE_TWO_CANDIDATE_WITNESS, [0], CCAV, weak=True
         )
         assert out.status == "vacuous"
 
@@ -353,7 +367,7 @@ class TestCloneSearch:
                     assert find_clone_violation(profile, [a], spec, weak=True).status == "none"
 
     def test_witnesses_break_the_other_rules(self):
-        for name in witnesses.CLONE_BREAKING_RULES:
+        for name in CLONE_BREAKING_RULES:
             violation = witnesses.stored_grid_counterexample(name, WEAK_CLONE_PROOFNESS)
             assert violation is not None and violation.verify(), name
 
@@ -361,7 +375,7 @@ class TestCloneSearch:
         # independent enumeration: insert the clone by hand for every
         # combination of per-voter placements
         rng = random.Random(67)
-        spec = witnesses.grid_rule("mav")
+        spec = RuleSpec.named("mav")
         for _ in range(30):
             profile = random_ranked_profile(rng, max_m=3, max_n=3)
             base = avr(profile, spec).winners
@@ -432,7 +446,7 @@ class TestCloneSearch:
 class TestVerify:
     @pytest.mark.parametrize("search", [
         lambda: find_monotonicity_violation(witnesses.MONOTONICITY_WITNESS,
-                                            witnesses.grid_rule("pav")),
+                                            RuleSpec.named("pav")),
         lambda: find_manipulation(witnesses.COVERAGE_MANIPULATION_WITNESS, CCAV, "strong"),
         lambda: find_clone_violation(witnesses.CLONE_TWO_BLOC_WITNESS, [0], MAV, weak=True),
     ], ids=["monotonicity", "strategy-proofness", "clone"])
@@ -449,7 +463,7 @@ class TestVerify:
 class TestCheckAxiomEntryPoint:
     def test_statuses_on_witness_profile(self):
         profile = witnesses.MONOTONICITY_WITNESS
-        assert check_axiom(profile, witnesses.grid_rule("pav"), MONOTONICITY).status == "violation"
+        assert check_axiom(profile, RuleSpec.named("pav"), MONOTONICITY).status == "violation"
         assert check_axiom(profile, MAV, MONOTONICITY).status == "none"
         assert check_axiom(profile, MAV, PARETO).status == "none"
 
@@ -505,7 +519,7 @@ class TestCheckAxiomEntryPoint:
 class TestDeterminism:
     def test_first_witness_is_stable(self):
         profile = witnesses.MONOTONICITY_WITNESS
-        spec = witnesses.grid_rule("ccav")
+        spec = RuleSpec.named("ccav")
         first = find_monotonicity_violation(profile, spec)
         second = find_monotonicity_violation(profile, spec)
         assert first.violation.transformed == second.violation.transformed

@@ -17,6 +17,7 @@ SPECTRUM = str(DATA / "spectrum.avr")
 RANKED = str(DATA / "spectrum_ranked.avr")
 SURVEY = str(DATA / "synthetic_survey.avr")
 TARGETS = str(DATA / "synthetic_targets.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -207,6 +208,20 @@ class TestAxioms:
         assert payload["mav/pareto"]["status"] == "none"
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (("axioms", "--profile", RANKED), "axioms_spectrum_ranked.txt"),
+    (("axioms", "--profile", RANKED, "--format", "json"), "axioms_spectrum_ranked.json"),
+    (("axioms", "--profile", SURVEY), "axioms_synthetic_survey.txt"),
+    (("axioms", "--profile", SURVEY, "--format", "json"), "axioms_synthetic_survey.json"),
+    (("score", "--profile", SPECTRUM, "--format", "json"), "score_spectrum.json"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_stdout_matches_the_golden_file(capsys, argv, golden):
+    # every axiom cell's status, searched count and note, byte for byte
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 class TestNetwork:
     def test_dot_deterministic(self, capsys):
         code1, out1, _ = run(capsys, "network", "--profile", SPECTRUM)
@@ -289,6 +304,7 @@ class TestExitCodes:
         (("simulate", "--seed", "-1"), "seed"),
         (("simulate", "--placement", "sampled", "--seed", "-5"), "seed"),
         (("simulate", "--d", "0.5,1e400"), "radius in '0.5,1e400'"),
+        (("simulate", "--d", "1e-400"), "radius in '1e-400' is too small for a float"),
     ])
     def test_out_of_range_simulation_input_is_named(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)

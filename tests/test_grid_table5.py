@@ -24,6 +24,7 @@ from avrunoff.axioms import (
     run_grid_cell,
 )
 from avrunoff.rules import CCAV_PLUS, TRIV, TWO_AV
+from test_witnesses import CLONE_TWO_CANDIDATE_WITNESS, pareto_quota_witness
 
 # the acceptance module runs the canonical 500-profile sweep; this file
 # re-checks the same cells on fresh seeds at a lighter scale
@@ -109,13 +110,13 @@ class TestAdmissibilityFilters:
     def test_quota_rule_efficiency_needs_the_quota_regime(self):
         # below the regime the quota rule degrades to the coverage rule and
         # the stored witness applies
-        witness = witnesses.pareto_quota_witness(Fraction(1, 3))
+        witness = pareto_quota_witness(Fraction(1, 3))
         assert not admissible_for_cell(witness, "enephr", PARETO)
         assert axioms.pareto_violations(witness, dict(GRID_RULES)["enephr"])
 
     def test_weak_clone_cells_need_the_weak_domain(self):
         assert not admissible_for_cell(
-            witnesses.CLONE_TWO_CANDIDATE_WITNESS, "ccav", WEAK_CLONE_PROOFNESS
+            CLONE_TWO_CANDIDATE_WITNESS, "ccav", WEAK_CLONE_PROOFNESS
         )
         assert admissible_for_cell(
             witnesses.CLONE_TWO_BLOC_WITNESS, "ccav", WEAK_CLONE_PROOFNESS

@@ -344,11 +344,11 @@ class TestDispatch:
 
     def test_spec_validation(self):
         with pytest.raises(InputError):
-            RuleSpec.alpha_seq(F(3, 2))
+            RuleSpec("alpha-seq", alpha=F(3, 2))
         with pytest.raises(InputError):
-            RuleSpec.enestrom_phragmen()
+            RuleSpec("enestrom-phragmen")
         with pytest.raises(InputError):
-            RuleSpec.enestrom_phragmen(beta=F(3, 2))
+            RuleSpec("enestrom-phragmen", beta=F(3, 2))
 
 
 class TestRuleSymmetries:

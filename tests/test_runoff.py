@@ -199,10 +199,12 @@ class TestTallyAgainstFractionOracle:
     def test_rules_and_runoff_match_the_formulas(self, profile, data):
         n = profile.total_weight
         specs = [RuleSpec.named(rule.name) for rule in RULES] + [
-            RuleSpec.alpha_av(data.draw(st.builds(F, st.integers(0, 12), st.integers(1, 4)))),
-            RuleSpec.alpha_seq(data.draw(st.builds(F, st.integers(0, 4), st.integers(4, 7)))),
-            RuleSpec.enestrom_phragmen(
-                quota=n * data.draw(st.builds(F, st.integers(0, 5), st.integers(5, 6)))),
+            RuleSpec("alpha-av", alpha=data.draw(
+                st.builds(F, st.integers(0, 12), st.integers(1, 4)))),
+            RuleSpec("alpha-seq", alpha=data.draw(
+                st.builds(F, st.integers(0, 4), st.integers(4, 7)))),
+            RuleSpec("enestrom-phragmen",
+                     quota=n * data.draw(st.builds(F, st.integers(0, 5), st.integers(5, 6)))),
         ]
         margins = {(a, b): oracle_margin(profile, a, b)
                    for a in range(profile.m) for b in range(profile.m) if a != b}

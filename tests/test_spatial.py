@@ -153,7 +153,7 @@ class TestSampling:
 
     def test_profile_is_valid(self):
         config = spatial.SpatialConfig(n_voters=15, n_candidates=6, seed=2)
-        assert spatial.sample_profile(config).validate() == []
+        assert all(b.is_consistent() for b in spatial.sample_profile(config).ballots)
 
     def test_sampled_candidate_placement(self):
         config = spatial.SpatialConfig(
