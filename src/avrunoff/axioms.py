@@ -2,10 +2,13 @@
 
 Each axiom is checked on a concrete profile. Monotonicity, strategy-proofness
 and clone-proofness each judge a transformation of the profile: an
-improvement, a deviation or a cloning. One function per transformation
-(`improvement_violation`, `deviation_violation`, `cloning_violation`) builds
-the transformed profile, runs the runoff on it and returns the `Violation`
-or None; the searches, the stored witnesses and `Violation.verify` all go
+improvement, a deviation or a cloning. One judge runs the runoff on the
+transformed profile and returns the `Violation` or None;
+`improvement_violation`, `deviation_violation` and `cloning_violation` each
+name a transformation and the condition it breaks, and the searches call
+them. `replay` judges a recorded transformation (or a Pareto pair) the same
+way, after checking that it lies in its axiom's search space;
+`Violation.verify` and the stored witnesses of `avrunoff.witnesses` go
 through it. Searches return the first hit of a fixed deterministic order,
 the lexicographically smallest witness, and every search is exact at any
 profile size: the monotonicity search enumerates its polynomial space and
@@ -20,7 +23,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from avrunoff.profiles import (
     ApprovalProfile,
@@ -61,9 +64,9 @@ class Violation:
     def verify(self) -> bool:
         """Recompute both sides and re-check the defining condition.
 
-        A transformation axiom's witness is replayed through the function
-        that judges it, so it verifies only if its recorded transformation,
-        winners and note are exactly what that replay gives.
+        Every witness but a favorite-consistency one verifies only if the
+        runoff still gives its winners before and `replay` of its recorded
+        transformation gives exactly this violation back.
         """
         if self.axiom == FAVORITE_CONSISTENCY:
             outcome = evaluate(self.profile, self.rule)
@@ -71,33 +74,10 @@ class Violation:
                 self.pair in outcome.pairs
                 and not (self.pair.members() & self.profile.approval_winners())
             )
-        before = avr(self.profile, self.rule).winners
-        if before != self.winners_before:
-            return False
-        if self.axiom == PARETO:
-            return (
-                self.profile.dominates(self.partner, self.candidate)
-                and self.candidate in before
-            )
-        if self.axiom == MONOTONICITY:
-            improvements = a_improvements(self.profile, self.candidate)
-            if (self.voter, self.ballot) not in improvements:
-                return False
-            replay = improvement_violation(
-                self.profile, self.rule, before, self.candidate, self.voter, self.ballot
-            )
-        elif self.axiom == STRATEGY_PROOFNESS:
-            replay = deviation_violation(
-                self.profile, self.rule, before, self.voter, self.ballot, self.note
-            )
-        elif self.axiom in (CLONE_PROOFNESS, WEAK_CLONE_PROOFNESS):
-            replay = cloning_violation(
-                self.profile, self.rule, before, self.candidate,
-                weak=self.axiom == WEAK_CLONE_PROOFNESS,
-            )
-        else:
-            raise InputError(f"unknown axiom {self.axiom!r}")
-        return replay == self
+        return avr(self.profile, self.rule).winners == self.winners_before and replay(
+            self.axiom, self.profile, self.rule, self.winners_before, self.candidate,
+            self.partner, self.voter, self.ballot, self.note,
+        ) == self
 
 
 @dataclass(frozen=True)
@@ -140,24 +120,18 @@ def check_favorite_consistency(profile, spec: RuleSpec) -> Optional[Violation]:
 
 def pareto_violations(profile: RankedProfile, spec: RuleSpec) -> list[Violation]:
     """One violation per dominated candidate that still wins the runoff."""
-    result = avr(profile, spec)
-    found = []
-    for b in sorted(result.winners):
-        for a in range(profile.m):
-            if a != b and profile.dominates(a, b):
-                found.append(
-                    Violation(
-                        axiom=PARETO,
-                        rule=spec,
-                        profile=profile,
-                        winners_before=result.winners,
-                        candidate=b,
-                        partner=a,
-                        note=f"{profile.labels[b]} wins although "
-                             f"{profile.labels[a]} dominates it",
-                    )
-                )
-    return found
+    winners = avr(profile, spec).winners
+    found = (_dominance_violation(profile, spec, winners, b, a)
+             for b in sorted(winners) for a in range(profile.m) if a != b)
+    return [v for v in found if v is not None]
+
+
+def _dominance_violation(profile, spec, winners_before, b, a) -> Optional[Violation]:
+    """The Pareto violation of `b` winning although `a` dominates it."""
+    if b not in winners_before or not profile.dominates(a, b):
+        return None
+    return Violation(PARETO, spec, profile, winners_before, candidate=b, partner=a,
+                     note=f"{profile.labels[b]} wins although {profile.labels[a]} dominates it")
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +207,7 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
     labels = profile.labels + (clone_label(profile.labels, a),)
     variants = []
     for b in profile.ballots:
-        if b.weight != int(b.weight) or b.weight < 0:
+        if b.weight != int(b.weight):
             raise InputError("cloning enumeration needs integer group weights")
         pos = b.position(a)
         approved = b.approved | {clone} if a in b.approved else b.approved
@@ -254,6 +228,15 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
 
 # ---------------------------------------------------------------------------
 # searches
+
+
+def _judged(axiom, profile, spec, winners_before, transformed, broken, **fields):
+    """The `axiom` violation of `profile` becoming `transformed`, if the
+    runoff winners after it are `broken`; `fields` name the transformation."""
+    after = avr(transformed, spec).winners
+    if not broken(after):
+        return None
+    return Violation(axiom, spec, profile, winners_before, transformed, after, **fields)
 
 
 def _require_voter_groups(profile: RankedProfile) -> None:
@@ -292,46 +275,34 @@ def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> Searc
     return SearchOutcome(None, searched)
 
 
-def improvement_violation(
-    profile: RankedProfile,
-    spec: RuleSpec,
-    winners_before: frozenset[int],
-    a: int,
-    voter: int,
-    ballot: RankedBallot,
-) -> Optional[Violation]:
+def improvement_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],
+                          a: int, voter: int, ballot: RankedBallot) -> Optional[Violation]:
     """The monotonicity violation of giving `voter` the a-improving
     `ballot`: a won before and does not win after."""
-    improved = profile.replace_ballot(voter, ballot)
-    after = avr(improved, spec).winners
-    if a not in winners_before or a in after:
-        return None
-    return Violation(
-        axiom=MONOTONICITY,
-        rule=spec,
-        profile=profile,
-        winners_before=winners_before,
-        transformed=improved,
-        winners_after=after,
-        candidate=a,
-        voter=voter,
-        ballot=ballot,
+    return _judged(
+        MONOTONICITY, profile, spec, winners_before, profile.replace_ballot(voter, ballot),
+        lambda after: a in winners_before and a not in after,
+        candidate=a, voter=voter, ballot=ballot,
         note=f"raising {profile.labels[a]} on ballot {voter} removes it from the winners",
     )
 
 
-def manipulation_succeeds(mode, true_ballot, winners_before, winners_after) -> bool:
+def manipulation_goal(mode: str, true_ballot: RankedBallot, winners_before) -> frozenset[int]:
+    """The candidates whose election makes a deviation succeed in `mode`.
+
+    strong: those the true ballot ranks above every old winner.
+    weak: the approved ones, or none when an old winner is approved.
+    """
     if mode == "strong":
-        return any(
-            all(true_ballot.prefers(x, y) for y in winners_before)
-            for x in winners_after
-        )
+        return frozenset(x for x in true_ballot.ranking
+                         if all(true_ballot.prefers(x, y) for y in winners_before))
     if mode == "weak":
-        return (
-            not (winners_before & true_ballot.approved)
-            and bool(winners_after & true_ballot.approved)
-        )
+        return frozenset() if winners_before & true_ballot.approved else true_ballot.approved
     raise InputError(f"unknown manipulation mode {mode!r}")
+
+
+def manipulation_succeeds(mode, true_ballot, winners_before, winners_after) -> bool:
+    return bool(winners_after & manipulation_goal(mode, true_ballot, winners_before))
 
 
 def find_manipulation(
@@ -342,14 +313,8 @@ def find_manipulation(
     """A single-voter ballot deviation that improves the outcome for the
     deviator, judged by their original (true) ballot: the first in
     `i_deviations` order, voter by voter, found without enumerating it.
-
-    strong: some new winner beats every old winner in the true ranking.
-    weak: no old winner was approved, some new winner is.
-
-    Either way a deviation succeeds exactly when a new winner lies in a goal
-    set fixed by the true ballot and the old winners (strong: the candidates
-    ranked above every old winner; weak: the approved ones, or none when an
-    old winner is approved); a voter with an empty goal is skipped.
+    A deviation succeeds exactly when a new winner lies in the voter's
+    `manipulation_goal`; a voter with an empty goal is skipped.
 
     Why the first witness is the enumeration's: a deviation (r, t) approves
     S = r[:t], and the rule reads only approvals, so its finalist pairs F(S)
@@ -377,12 +342,7 @@ def find_manipulation(
     for i, true_ballot in enumerate(profile.ballots):
         if true_ballot.weight == 0:
             continue
-        if mode == "strong":
-            goal = {x for x in range(m) if all(true_ballot.prefers(x, y) for y in base)}
-        elif mode == "weak":
-            goal = set() if base & true_ballot.approved else true_ballot.approved
-        else:
-            raise InputError(f"unknown manipulation mode {mode!r}")
+        goal = manipulation_goal(mode, true_ballot, base)
         own = true_ballot.is_consistent()
         first = _first_deviation(profile, spec, i, goal) if goal else None
         if first is None:
@@ -441,30 +401,15 @@ def _lex_rank(ranking: Sequence[int]) -> int:
     return rank
 
 
-def deviation_violation(
-    profile: RankedProfile,
-    spec: RuleSpec,
-    winners_before: frozenset[int],
-    voter: int,
-    ballot: RankedBallot,
-    mode: str,
-) -> Optional[Violation]:
+def deviation_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],
+                        voter: int, ballot: RankedBallot, mode: str) -> Optional[Violation]:
     """The manipulation by `voter` casting `ballot`, if it succeeds in
     `mode` judged by the voter's true ballot in `profile`."""
-    deviated = profile.replace_ballot(voter, ballot)
-    after = avr(deviated, spec).winners
-    if not manipulation_succeeds(mode, profile.ballots[voter], winners_before, after):
-        return None
-    return Violation(
-        axiom=STRATEGY_PROOFNESS,
-        rule=spec,
-        profile=profile,
-        winners_before=winners_before,
-        transformed=deviated,
-        winners_after=after,
-        voter=voter,
-        ballot=ballot,
-        note=mode,
+    goal = manipulation_goal(mode, profile.ballots[voter], winners_before)
+    return _judged(
+        STRATEGY_PROOFNESS, profile, spec, winners_before, profile.replace_ballot(voter, ballot),
+        lambda after: bool(after & goal),
+        voter=voter, ballot=ballot, note=mode,
     )
 
 
@@ -489,11 +434,10 @@ def in_weak_clone_domain(profile: RankedProfile) -> bool:
 
 def find_clone_violation(
     profile: RankedProfile,
-    candidates: Iterable[int],
     spec: RuleSpec,
     weak: bool = False,
 ) -> SearchOutcome:
-    """The first of `candidates` whose cloning changes other candidates'
+    """The first candidate whose cloning changes other candidates'
     fates or breaks the original/clone equivalence, each judged against one
     base runoff on one extension: for each candidate `a`, the first in
     `cloning_extensions` order.
@@ -516,40 +460,62 @@ def find_clone_violation(
     if weak and not in_weak_clone_domain(profile):
         return SearchOutcome(None, 0, vacuous=True)
     base = avr(profile, spec).winners
-    searched = 0
-    for searched, a in enumerate(candidates, 1):
+    for a in range(profile.m):
         found = cloning_violation(profile, spec, base, a, weak)
         if found is not None:
-            return SearchOutcome(found, searched)
-    return SearchOutcome(None, searched)
+            return SearchOutcome(found, a + 1)
+    return SearchOutcome(None, profile.m)
 
 
-def cloning_violation(
-    profile: RankedProfile,
-    spec: RuleSpec,
-    winners_before: frozenset[int],
-    a: int,
-    weak: bool = False,
-) -> Optional[Violation]:
+def cloning_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],
+                      a: int, weak: bool = False) -> Optional[Violation]:
     """The (weak) clone-proofness violation of cloning `a` just below itself
     on every ballot, judged by `clone_conditions_hold`; weak clone-proofness
     holds vacuously outside its domain."""
     if weak and not in_weak_clone_domain(profile):
         return None
-    extended = next(cloning_extensions(profile, a))
-    after = avr(extended, spec).winners
-    if clone_conditions_hold(winners_before, after, a, profile.m):
-        return None
-    return Violation(
-        axiom=WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS,
-        rule=spec,
-        profile=profile,
-        winners_before=winners_before,
-        transformed=extended,
-        winners_after=after,
-        candidate=a,
-        note=f"cloning {profile.labels[a]} changes the winner set",
+    return _judged(
+        WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS, profile, spec, winners_before,
+        next(cloning_extensions(profile, a)),
+        lambda after: not clone_conditions_hold(winners_before, after, a, profile.m),
+        candidate=a, note=f"cloning {profile.labels[a]} changes the winner set",
     )
+
+
+def replay(axiom: str, profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],
+           candidate: Optional[int], partner: Optional[int], voter: Optional[int],
+           ballot: Optional[RankedBallot], note: str) -> Optional[Violation]:
+    """The violation a recorded transformation gives, judged as the
+    searches judge it, or None when it breaks nothing or lies outside the
+    axiom's search space: the improvements `a_improvements` yields for
+    `candidate`, the ballots `i_deviations` yields for a voter of positive
+    weight (`note` is the manipulation mode), the cloning of a candidate,
+    or the domination of `candidate` by another candidate `partner`.
+    """
+    m = profile.m
+    if axiom == STRATEGY_PROOFNESS:
+        if voter not in range(len(profile.ballots)) or ballot is None:
+            return None
+        true = profile.ballots[voter]
+        if (true.weight == 0 or ballot.weight != 1 or not ballot.is_consistent()
+                or sorted(ballot.ranking) != list(range(m))
+                or (ballot.ranking, ballot.approved) == (true.ranking, true.approved)):
+            return None
+        return deviation_violation(profile, spec, winners_before, voter, ballot, note)
+    if candidate not in range(m):
+        return None
+    if axiom == PARETO:
+        if partner not in range(m) or partner == candidate:
+            return None
+        return _dominance_violation(profile, spec, winners_before, candidate, partner)
+    if axiom == MONOTONICITY:
+        if (voter, ballot) not in a_improvements(profile, candidate):
+            return None
+        return improvement_violation(profile, spec, winners_before, candidate, voter, ballot)
+    if axiom in (CLONE_PROOFNESS, WEAK_CLONE_PROOFNESS):
+        return cloning_violation(profile, spec, winners_before, candidate,
+                                 axiom == WEAK_CLONE_PROOFNESS)
+    raise InputError(f"unknown axiom {axiom!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +570,7 @@ def check_axiom(profile: RankedProfile, spec: RuleSpec, axiom: str) -> SearchOut
                 break
         return replace(out, searched=searched)
     if axiom in (WEAK_CLONE_PROOFNESS, CLONE_PROOFNESS):
-        return find_clone_violation(profile, range(profile.m), spec,
-                                    axiom == WEAK_CLONE_PROOFNESS)
+        return find_clone_violation(profile, spec, axiom == WEAK_CLONE_PROOFNESS)
     raise InputError(f"unknown axiom {axiom!r}")
 
 

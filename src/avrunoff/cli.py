@@ -134,9 +134,11 @@ def _load_document(path: str) -> fileio.ProfileDocument:
 
 
 def _resolve_rule(args) -> RuleSpec:
-    name = args.rule
+    name = args.rule.strip().lower()
     alpha = getattr(args, "alpha", None)
-    if alpha is not None and name in ("alpha-av", "alpha-seq"):
+    if (alpha is not None) != (name in ("alpha-av", "alpha-seq")):
+        raise InputError("--rule alpha-av and alpha-seq need --alpha; no other rule takes it")
+    if alpha is not None:
         name = f"{name}:{alpha}"
     return RuleSpec.named(name, quota_beta=getattr(args, "quota_beta", None))
 

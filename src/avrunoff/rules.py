@@ -151,9 +151,6 @@ class RuleOutcome:
     def pair_set(self) -> frozenset[CandidatePair]:
         return frozenset(self.pairs)
 
-    def winners_union(self) -> frozenset[int]:
-        return frozenset(c for p in self.pairs for c in p)
-
 
 def _require_two(profile: Profile) -> None:
     if profile.m < 2:
@@ -381,15 +378,14 @@ TRIV = RuleSpec.named("triv")
 CCAV_PLUS = RuleSpec.named("ccav+")
 
 
-def alpha_av_breakpoints(profile: Profile, lo=Fraction(0), hi=Fraction(1)) -> list[Fraction]:
-    """Exact alpha values in (lo, hi] where the alpha-av argmax set changes.
+def alpha_av_breakpoints(profile: Profile) -> list[Fraction]:
+    """Exact alpha values in (0, 1] where the alpha-av argmax set changes.
 
     Pair scores are affine in alpha, so the argmax can only change where two
     pair lines cross; each candidate crossing is kept if the argmax set
     differs on its two sides.
     """
     _require_two(profile)
-    lo, hi = exact(lo, "parameter"), exact(hi, "parameter")
     tally = profile.tally()
     S, J = tally.scores, tally.joint
     # each pair's line S(x) + S(y) - alpha * S(xy), over the tally's denominator
@@ -404,7 +400,7 @@ def alpha_av_breakpoints(profile: Profile, lo=Fraction(0), hi=Fraction(1)) -> li
     for (p, (mp, jp)), (q, (mq, jq)) in combinations(lines.items(), 2):
         if jp != jq:
             a = Fraction(mp - mq, jp - jq)
-            if lo < a <= hi:
+            if 0 < a <= 1:
                 crossings.add(a)
     # the argmax set is piecewise constant; it can only jump at a crossing
     # of two pair lines, so compare each candidate point with the open
@@ -412,11 +408,11 @@ def alpha_av_breakpoints(profile: Profile, lo=Fraction(0), hi=Fraction(1)) -> li
     points = sorted(crossings)
     breakpoints = []
     for i, a in enumerate(points):
-        left = (points[i - 1] + a) / 2 if i > 0 else (lo + a) / 2
+        left = (points[i - 1] + a) / 2 if i > 0 else a / 2
         at = argmax_at(a)
         changed = argmax_at(left) != at
-        if a < hi:
-            right = (a + points[i + 1]) / 2 if i + 1 < len(points) else (a + hi) / 2
+        if a < 1:
+            right = (a + points[i + 1]) / 2 if i + 1 < len(points) else (a + 1) / 2
             changed = changed or at != argmax_at(right)
         if changed:
             breakpoints.append(a)

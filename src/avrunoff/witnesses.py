@@ -2,11 +2,10 @@
 
 Each rule/axiom cell that the paper does not claim (`axioms.GRID_EXPECTED`)
 is refuted by one of the small profiles here, together with the recorded
-transformation: an improvement, a deviation or a cloning.
-`stored_grid_counterexample` judges it with the same function of
-`avrunoff.axioms` that judges it in the searches (`improvement_violation`,
-`deviation_violation`, `cloning_violation`), so every stored violation
-replays through `Violation.verify`. `scripts/axiom_grid.py` prints them;
+transformation: a dominated pair, an improvement, a deviation or a cloning.
+`stored_grid_counterexample` judges it with `axioms.replay`, the function
+that `Violation.verify` replays it with, so every stored violation lies in
+its axiom's search space and verifies. `scripts/axiom_grid.py` prints them;
 the claims the witnesses certify are tests (`tests/test_witnesses.py`).
 """
 
@@ -105,37 +104,36 @@ CLONE_TRIV_WITNESS: RankedProfile = parse_profile(
 )
 
 
+# each unchecked cell's transformation, (profile, candidate, partner, voter,
+# ballot), by axiom: under the cell's rule if it has its own, else under None
+_STORED = {
+    axioms.PARETO: {None: (PARETO_COVERAGE_WITNESS, 2, 1, None, None)},
+    axioms.MONOTONICITY: {None: (MONOTONICITY_WITNESS, 0, None, *MONOTONICITY_IMPROVEMENT)},
+    axioms.STRATEGY_PROOFNESS: {
+        None: (MANIPULATION_BEFORE, None, None, *MANIPULATION_DEVIATION),
+        **dict.fromkeys(("ccav", "sccav"), (COVERAGE_MANIPULATION_WITNESS, None, None,
+                                            *COVERAGE_MANIPULATION_DEVIATION)),
+    },
+    axioms.WEAK_CLONE_PROOFNESS: {
+        None: (CLONE_TWO_BLOC_WITNESS, 0, None, None, None),
+        "enephr": (CLONE_QUOTA_WITNESS, 0, None, None, None),
+        "triv": (CLONE_TRIV_WITNESS, 0, None, None, None),
+    },
+}
+
+
 def stored_grid_counterexample(rule_name: str, axiom: str) -> Optional[Violation]:
-    """A verified violation for an unchecked grid cell, None for checked cells."""
-    if (rule_name, axiom) in axioms.GRID_EXPECTED:
+    """A verified violation for an unchecked grid cell, None for checked cells.
+
+    A stored deviation is judged as a strong manipulation, then as a weak one.
+    """
+    if (rule_name, axiom) in axioms.GRID_EXPECTED or axiom not in _STORED:
         return None
     spec = RuleSpec.named(rule_name)
-    if axiom == axioms.PARETO:
-        found = axioms.pareto_violations(PARETO_COVERAGE_WITNESS, spec)
-        return found[0] if found else None
-    if axiom == axioms.MONOTONICITY:
-        profile = MONOTONICITY_WITNESS
-        voter, ballot = MONOTONICITY_IMPROVEMENT
-        return axioms.improvement_violation(
-            profile, spec, avr(profile, spec).winners, 0, voter, ballot
-        )
-    if axiom == axioms.STRATEGY_PROOFNESS:
-        if rule_name in ("ccav", "sccav"):
-            profile, (voter, ballot) = (
-                COVERAGE_MANIPULATION_WITNESS,
-                COVERAGE_MANIPULATION_DEVIATION,
-            )
-        else:
-            profile, (voter, ballot) = MANIPULATION_BEFORE, MANIPULATION_DEVIATION
-        before = avr(profile, spec).winners
-        for mode in ("strong", "weak"):
-            found = axioms.deviation_violation(profile, spec, before, voter, ballot, mode)
-            if found is not None:
-                return found
-        return None
-    if axiom == axioms.WEAK_CLONE_PROOFNESS:
-        profile = {"enephr": CLONE_QUOTA_WITNESS, "triv": CLONE_TRIV_WITNESS}.get(
-            rule_name, CLONE_TWO_BLOC_WITNESS
-        )
-        return axioms.cloning_violation(profile, spec, avr(profile, spec).winners, 0, weak=True)
+    profile, *transformation = _STORED[axiom].get(rule_name, _STORED[axiom][None])
+    before = avr(profile, spec).winners
+    for note in ("strong", "weak") if axiom == axioms.STRATEGY_PROOFNESS else ("",):
+        found = axioms.replay(axiom, profile, spec, before, *transformation, note)
+        if found is not None:
+            return found
     return None

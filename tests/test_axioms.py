@@ -16,6 +16,7 @@ from avrunoff.axioms import (
     check_axiom,
     check_favorite_consistency,
     cloning_extensions,
+    cloning_violation,
     deviation_violation,
     find_clone_violation,
     find_manipulation,
@@ -334,9 +335,7 @@ class TestCloneSearch:
         assert not in_weak_clone_domain(CLONE_DEGENERATE_PROFILE)
 
     def test_vacuous_pass_outside_domain(self):
-        out = find_clone_violation(
-            CLONE_TWO_CANDIDATE_WITNESS, [0], CCAV, weak=True
-        )
+        out = find_clone_violation(CLONE_TWO_CANDIDATE_WITNESS, CCAV, weak=True)
         assert out.status == "vacuous"
 
     def test_extension_count(self):
@@ -363,8 +362,9 @@ class TestCloneSearch:
                 continue
             checked += 1
             for spec in (CCAV, SCCAV):
+                before = avr(profile, spec).winners
                 for a in range(profile.m):
-                    assert find_clone_violation(profile, [a], spec, weak=True).status == "none"
+                    assert cloning_violation(profile, spec, before, a, weak=True) is None
 
     def test_witnesses_break_the_other_rules(self):
         for name in CLONE_BREAKING_RULES:
@@ -400,8 +400,8 @@ class TestCloneSearch:
                     ).winners
                     if not axioms.clone_conditions_hold(base, after, a, clone):
                         brute_found = True
-                ours = find_clone_violation(profile, [a], spec)
-                assert (ours.status == "violation") == brute_found
+                ours = cloning_violation(profile, spec, base, a)
+                assert (ours is not None) == brute_found
 
     def test_sign_class_search_matches_the_full_enumeration(self):
         # the first hit of a scan over every extension is the witness the
@@ -429,35 +429,61 @@ class TestCloneSearch:
                             first_hit = (ext, after)
                             break
                     for weak in (False, True):
-                        out = find_clone_violation(profile, [a], spec, weak=weak)
-                        seen.add(out.status)
+                        v = cloning_violation(profile, spec, base, a, weak)
                         if weak and not in_weak_clone_domain(profile):
-                            assert out.status == "vacuous"
+                            seen.add("vacuous")
+                            assert v is None
                         elif first_hit[0] is None:
-                            assert out.status == "none"
+                            seen.add("none")
+                            assert v is None
                         else:
-                            assert out.status == "violation"
-                            v = out.violation
+                            seen.add("violation")
                             assert (v.transformed, v.winners_after) == first_hit
         assert seen == {"W % 2 == 0", "W % 2 == 1", "zero-weight group",
                         "none", "violation", "vacuous"}
 
 
 class TestVerify:
-    @pytest.mark.parametrize("search", [
+    @pytest.mark.parametrize("violation", [
         lambda: find_monotonicity_violation(witnesses.MONOTONICITY_WITNESS,
-                                            RuleSpec.named("pav")),
-        lambda: find_manipulation(witnesses.COVERAGE_MANIPULATION_WITNESS, CCAV, "strong"),
-        lambda: find_clone_violation(witnesses.CLONE_TWO_BLOC_WITNESS, [0], MAV, weak=True),
+                                            RuleSpec.named("pav")).violation,
+        lambda: find_manipulation(witnesses.COVERAGE_MANIPULATION_WITNESS, CCAV,
+                                  "strong").violation,
+        lambda: cloning_violation(witnesses.CLONE_TWO_BLOC_WITNESS, MAV,
+                                  avr(witnesses.CLONE_TWO_BLOC_WITNESS, MAV).winners, 0,
+                                  weak=True),
     ], ids=["monotonicity", "strategy-proofness", "clone"])
-    def test_rejects_a_transformed_profile_that_is_not_the_recorded_change(self, search):
-        v = search().violation
+    def test_rejects_a_transformed_profile_that_is_not_the_recorded_change(self, violation):
+        v = violation()
         assert v.verify()
         # twice the electorate: the same winners, but no single-voter change
         # or cloning of v.profile
         forged = dataclasses.replace(v, transformed=v.transformed.scaled(2))
         assert avr(forged.transformed, v.rule).winners == v.winners_after
         assert not forged.verify()
+
+    @pytest.mark.parametrize("ballot", [
+        RankedBallot((1, 0, 2), {0}, 1),  # approves a below the unapproved b
+        RankedBallot((0, 2, 1), {0}, 2),  # two voters' weight
+    ], ids=["not-a-prefix", "weight-2"])
+    def test_rejects_a_deviation_outside_the_search_space(self, ballot):
+        profile = witnesses.COVERAGE_MANIPULATION_WITNESS
+        before = avr(profile, CCAV).winners
+        v = deviation_violation(profile, CCAV, before, 0, ballot, "strong")
+        assert v is not None  # the judge alone takes it for a manipulation
+        assert not v.verify()
+
+    @pytest.mark.parametrize("rule,axiom,change", [
+        ("ccav", PARETO, {"candidate": 7}),
+        ("pav", MONOTONICITY, {"candidate": 7}),
+        ("ccav", axioms.STRATEGY_PROOFNESS, {"voter": 9}),
+        ("ccav", axioms.STRATEGY_PROOFNESS, {"ballot": None}),
+        ("mav", WEAK_CLONE_PROOFNESS, {"candidate": 7}),
+    ], ids=["pareto", "monotonicity", "strategy-proofness", "no-ballot", "clone"])
+    def test_rejects_a_stored_witness_moved_out_of_the_profile(self, rule, axiom, change):
+        v = witnesses.stored_grid_counterexample(rule, axiom)
+        assert v.verify()
+        assert not dataclasses.replace(v, **change).verify()
 
 
 class TestCheckAxiomEntryPoint:
@@ -468,8 +494,9 @@ class TestCheckAxiomEntryPoint:
         assert check_axiom(profile, MAV, PARETO).status == "none"
 
     def test_clone_cell_is_the_per_candidate_searches(self):
-        # one clone search per candidate, in order, with their searched
-        # counts summed: the cell's status, searched, vacuous flag and witness
+        # one clone judge per candidate, in order: the cell's witness is the
+        # first hit, and it searched the candidates judged up to it, or none
+        # on a vacuous pass
         rng = random.Random(73)
         specs = [spec for _, spec in axioms.GRID_RULES] + [RuleSpec.named("2av")]
         seen = set()
@@ -483,16 +510,18 @@ class TestCheckAxiomEntryPoint:
             for spec in specs:
                 for axiom, weak in ((axioms.CLONE_PROOFNESS, False),
                                     (WEAK_CLONE_PROOFNESS, True)):
+                    before = avr(profile, spec).winners
                     outs = []
                     for a in range(m):
-                        outs.append(find_clone_violation(profile, [a], spec, weak=weak))
-                        if outs[-1].violation is not None:
+                        outs.append(cloning_violation(profile, spec, before, a, weak))
+                        if outs[-1] is not None:
                             break
+                    vacuous = weak and not in_weak_clone_domain(profile)
                     cell = check_axiom(profile, spec, axiom)
                     seen.add(cell.status)
-                    assert cell.violation == outs[-1].violation
-                    assert cell.searched == sum(out.searched for out in outs)
-                    assert cell.vacuous == all(out.vacuous for out in outs)
+                    assert cell.violation == outs[-1]
+                    assert cell.searched == (0 if vacuous else len(outs))
+                    assert cell.vacuous == vacuous
                     assert cell.exhausted
         assert seen == {"none", "violation", "vacuous"}
 

@@ -270,6 +270,22 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("finalists", "--profile", SPECTRUM, "--rule", "pav", "--alpha", "3"),
+        ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/2", "--alpha", "3"),
+        ("finalists", "--profile", SPECTRUM, "--rule", "alpha-av"),
+        ("winner", "--profile", RANKED, "--rule", "alpha-seq"),
+    ])
+    def test_alpha_without_a_bare_alpha_rule_or_the_reverse(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "--alpha" in err
+
+    def test_alpha_rule_name_is_normalised(self, capsys):
+        code, out, _ = run(capsys, "finalists", "--profile", SPECTRUM,
+                           "--rule", " ALPHA-AV", "--alpha", "1")
+        assert (code, out) == (0, "{a,d}\n")
+
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "winner", "--nope")
         assert code == 1

@@ -4,8 +4,11 @@ counterexample. Joint compatibility spot-checks run the compatible rule
 pairs on shared profile batches."""
 
 import random
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,23 @@ def test_blank_cell_has_verified_counterexample(rule_name, axiom):
     assert violation is not None
     assert violation.verify()
     assert violation.axiom == axiom
+
+
+def test_grid_script_prints_the_expected_table():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "axiom_grid.py"
+    result = subprocess.run([sys.executable, str(script), "--profiles", "50"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("rule "))
+    table = {}
+    for line in lines[header + 1:header + 1 + len(GRID_RULES)]:
+        name, *marks = line.split()
+        table.update(((name, axiom), mark) for axiom, mark in zip(GRID_AXIOMS, marks))
+    assert table == {
+        (name, axiom): "yes" if (name, axiom) in GRID_EXPECTED else "no"
+        for name, _ in GRID_RULES for axiom in GRID_AXIOMS
+    }
 
 
 class TestJointCompatibility:

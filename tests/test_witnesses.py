@@ -263,7 +263,7 @@ CLAIMS = [
     ("cloning/the twin dominates b in the reranked extension", lambda:
         CLONE_DOMINATION_PROFILE.dominates(1, 2)),
     ("cloning/coverage rules survive exhaustive cloning of the witness", lambda: all(
-        axioms.find_clone_violation(WB, range(WB.m), RuleSpec.named(r), weak=True).status == "none"
+        axioms.find_clone_violation(WB, RuleSpec.named(r), weak=True).status == "none"
         for r in ("ccav", "sccav"))),
     ("clone chain: improvement profile sends the a-c pair to c", lambda:
         CC["improved"].majority_winners(0, 2) == fs({2})),
