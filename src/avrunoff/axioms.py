@@ -72,7 +72,7 @@ class Violation:
             outcome = evaluate(self.profile, self.rule)
             return (
                 self.pair in outcome.pairs
-                and not (self.pair.members() & self.profile.approval_winners())
+                and not (self.pair.members() & self.profile.tally().approval_winners())
             )
         return avr(self.profile, self.rule).winners == self.winners_before and replay(
             self.axiom, self.profile, self.rule, self.winners_before, self.candidate,
@@ -104,7 +104,7 @@ class SearchOutcome:
 def check_favorite_consistency(profile, spec: RuleSpec) -> Optional[Violation]:
     """A winning pair containing no approval winner, if one exists."""
     outcome = evaluate(profile, spec)
-    winners = profile.approval_winners()
+    winners = profile.tally().approval_winners()
     for pair in outcome.pairs:
         if not (pair.members() & winners):
             return Violation(
@@ -203,12 +203,11 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
     clone just below `a` on every ballot. Each group's two ballots are
     built once.
     """
+    _require_voter_groups(profile)
     clone = profile.m
     labels = profile.labels + (clone_label(profile.labels, a),)
     variants = []
     for b in profile.ballots:
-        if b.weight != int(b.weight):
-            raise InputError("cloning enumeration needs integer group weights")
         pos = b.position(a)
         approved = b.approved | {clone} if a in b.approved else b.approved
         below = RankedBallot(b.ranking[: pos + 1] + (clone,) + b.ranking[pos + 1:],
@@ -239,14 +238,18 @@ def _judged(axiom, profile, spec, winners_before, transformed, broken, **fields)
     return Violation(axiom, spec, profile, winners_before, transformed, after, **fields)
 
 
+def _whole_voters(profile: RankedProfile) -> bool:
+    """Each group stands for a whole number of voters."""
+    return all(b.weight == int(b.weight) for b in profile.ballots)
+
+
 def _require_voter_groups(profile: RankedProfile) -> None:
     """Single-voter transformations need each group to stand for whole voters."""
-    for b in profile.ballots:
-        if b.weight != int(b.weight):
-            raise InputError(
-                "transformation search needs integer group weights; "
-                "fractional-weight profiles have no single voter to deviate"
-            )
+    if not _whole_voters(profile):
+        raise InputError(
+            "transformation search needs integer group weights; "
+            "fractional-weight profiles have no single voter to deviate"
+        )
 
 
 def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> SearchOutcome:
@@ -461,7 +464,7 @@ def find_clone_violation(
         return SearchOutcome(None, 0, vacuous=True)
     base = avr(profile, spec).winners
     for a in range(profile.m):
-        found = cloning_violation(profile, spec, base, a, weak)
+        found = _cloned(profile, spec, base, a, weak)
         if found is not None:
             return SearchOutcome(found, a + 1)
     return SearchOutcome(None, profile.m)
@@ -474,6 +477,11 @@ def cloning_violation(profile: RankedProfile, spec: RuleSpec, winners_before: fr
     holds vacuously outside its domain."""
     if weak and not in_weak_clone_domain(profile):
         return None
+    return _cloned(profile, spec, winners_before, a, weak)
+
+
+def _cloned(profile, spec, winners_before, a, weak) -> Optional[Violation]:
+    """`cloning_violation` on a profile already known to be in its domain."""
     return _judged(
         WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS, profile, spec, winners_before,
         next(cloning_extensions(profile, a)),
@@ -490,9 +498,12 @@ def replay(axiom: str, profile: RankedProfile, spec: RuleSpec, winners_before: f
     axiom's search space: the improvements `a_improvements` yields for
     `candidate`, the ballots `i_deviations` yields for a voter of positive
     weight (`note` is the manipulation mode), the cloning of a candidate,
-    or the domination of `candidate` by another candidate `partner`.
+    or the domination of `candidate` by another candidate `partner`. A
+    profile with a fractional group weight lies outside all but the last.
     """
     m = profile.m
+    if axiom != PARETO and not _whole_voters(profile):
+        return None
     if axiom == STRATEGY_PROOFNESS:
         if voter not in range(len(profile.ballots)) or ballot is None:
             return None

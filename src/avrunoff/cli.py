@@ -214,15 +214,15 @@ def cmd_sweep_alpha(args) -> int:
     if args.points < 2:
         raise InputError("--points must be at least 2")
     V = _load_document(args.profile).profile
-    breakpoints = rules.alpha_av_breakpoints(V)
+    tally = V.tally()
+    breakpoints = rules.alpha_av_breakpoints(tally)
     points = sorted(
         {Fraction(i, args.points - 1) for i in range(args.points)} | set(breakpoints)
     )
-    tally = V.tally()
     grid = []
     for a in points:
-        av = rules.alpha_av(V, a)
-        seq = rules.alpha_seq_av(V, a)
+        av = rules.alpha_av(tally, a)
+        seq = rules.alpha_seq_av(tally, a)
         x1 = seq.first_stage[0]
         curve = {
             y: seq.score_table[CandidatePair.of(x1, y)] - Fraction(tally.scores[x1], tally.denom)

@@ -126,7 +126,7 @@ def _check_labels(m: int, labels) -> tuple[str, ...]:
 
 
 class Tally(NamedTuple):
-    """What the rules read of a profile, as integers.
+    """What the rules read of a profile, as integers: a rule is a function of it.
 
     `joint[x][y]` is the weight of the ballots approving both x and y, so
     `joint[x][x]` is the score S(x) and `scores` is the diagonal. `split[c]`
@@ -141,6 +141,17 @@ class Tally(NamedTuple):
     joint: tuple[tuple[int, ...], ...]
     split: tuple[int, ...]
     split_denom: int
+
+    @property
+    def m(self) -> int:
+        return len(self.scores)
+
+    def approval_winners(self) -> frozenset[int]:
+        """All candidates with the maximal approval score."""
+        if not self.scores:
+            raise InputError("no candidates")
+        best = max(self.scores)
+        return frozenset(c for c, s in enumerate(self.scores) if s == best)
 
 
 def _check_ballot(i: int, b, full: frozenset[int]) -> None:
@@ -217,14 +228,6 @@ class _Profile:
             )
             self.__dict__["_tally"] = cached
         return cached
-
-    def approval_winners(self) -> frozenset[int]:
-        """All candidates with the maximal approval score."""
-        if self.m < 1:
-            raise InputError("no candidates")
-        scores = self.tally().scores
-        best = max(scores)
-        return frozenset(c for c, s in enumerate(scores) if s == best)
 
     def with_weights(self, weights: Iterable):
         """The same ballot groups, in order, with new weights."""

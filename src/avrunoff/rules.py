@@ -7,9 +7,10 @@ proportional, and coverage (Chamberlin-Courant style) rules, and alpha = 2
 the clone-resistant variant. Sequential variants fix the first finalist as
 an approval winner and optimize the second seat only.
 
-A rule takes an approval or a ranked profile and reads only its tally
-(`_Profile.tally`): it compares integers, cross-multiplied by a
-parameter's denominator, and builds Fractions only for the outcome.
+A rule is a function of a profile's `Tally` (`evaluate` runs it on a
+profile, approval or ranked, of at least two candidates): it compares
+integers, cross-multiplied by a parameter's denominator, and builds
+Fractions only for the outcome.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class RuleOutcome:
         return frozenset(self.pairs)
 
 
-def _require_two(profile: Profile) -> None:
-    if profile.m < 2:
+def _require_two(m: int) -> None:
+    if m < 2:
         raise InputError("need at least two candidates")
 
 
@@ -162,8 +163,8 @@ def _argbest(table: Mapping[CandidatePair, object], sense: str) -> tuple[Candida
     return tuple(sorted(p for p, s in table.items() if s == extreme))
 
 
-def all_pairs(profile: Profile) -> list[CandidatePair]:
-    return [CandidatePair(a, b) for a, b in combinations(range(profile.m), 2)]
+def all_pairs(m: int) -> list[CandidatePair]:
+    return [CandidatePair(a, b) for a, b in combinations(range(m), 2)]
 
 
 def _discounted(tally: Tally, pairs, alpha: Fraction) -> dict[CandidatePair, int]:
@@ -178,37 +179,34 @@ def _fractions(table: Mapping[CandidatePair, int], denom: int) -> dict[Candidate
     return {pair: Fraction(v, denom) for pair, v in table.items()}
 
 
-def alpha_av(profile: Profile, alpha) -> RuleOutcome:
+def alpha_av(tally: Tally, alpha) -> RuleOutcome:
     """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
-    _require_two(profile)
     alpha = ALPHA.check(alpha)
-    tally = profile.tally()
-    table = _discounted(tally, all_pairs(profile), alpha)
+    table = _discounted(tally, all_pairs(tally.m), alpha)
     return RuleOutcome(
         _argbest(table, "max"), _fractions(table, alpha.denominator * tally.denom)
     )
 
 
-def alpha_seq_av(profile: Profile, alpha) -> RuleOutcome:
+def alpha_seq_av(tally: Tally, alpha) -> RuleOutcome:
     """First finalist an approval winner, second maximizing S(y) - alpha * S(x1,y).
 
     All first-stage ties are expanded as branches and the per-branch optima
     unioned. Table entries carry the full pair score S(x1) + S(y) - alpha*S(x1,y).
     """
-    _require_two(profile)
     alpha = SEQ_ALPHA.check(alpha)
-    winners = tuple(sorted(profile.approval_winners()))
-    return _seq_alpha_outcome(profile, winners, {w: alpha for w in winners})
+    return _seq_alpha_outcome(tally, lambda x1: alpha)
 
 
-def _seq_alpha_outcome(profile: Profile, winners, alpha_by_branch) -> RuleOutcome:
-    tally = profile.tally()
+def _seq_alpha_outcome(tally: Tally, alpha_of: Callable[[int], Fraction]) -> RuleOutcome:
+    """One branch per approval winner x1, discounting by alpha_of(x1)."""
+    winners = tuple(sorted(tally.approval_winners()))
+    alphas = {x1: alpha_of(x1) for x1 in winners}
     table: dict[CandidatePair, Fraction] = {}
     best: set[CandidatePair] = set()
-    for x1 in winners:
-        alpha = alpha_by_branch[x1]
+    for x1, alpha in alphas.items():
         branch = _discounted(
-            tally, [CandidatePair.of(x1, y) for y in range(profile.m) if y != x1], alpha
+            tally, [CandidatePair.of(x1, y) for y in range(tally.m) if y != x1], alpha
         )
         table.update(_fractions(branch, alpha.denominator * tally.denom))
         best.update(_argbest(branch, "max"))
@@ -216,45 +214,37 @@ def _seq_alpha_outcome(profile: Profile, winners, alpha_by_branch) -> RuleOutcom
         tuple(sorted(best)),
         table,
         first_stage=winners,
-        branch_alphas=dict(alpha_by_branch),
+        branch_alphas=alphas,
     )
 
 
-def enestrom_phragmen(profile: Profile, quota=None, beta=None) -> RuleOutcome:
+def enestrom_phragmen(tally: Tally, quota=None, beta=None) -> RuleOutcome:
     """Sequential rule with per-branch discount min(1, Q / S(x1)).
 
     The quota is given either absolutely or as beta with Q = beta * n.
     A zero-score first finalist (all-empty profile) uses discount 1.
     """
-    _require_two(profile)
     param, value = _one_of((QUOTA, BETA), (quota, beta))
-    tally = profile.tally()
     n = Fraction(tally.total, tally.denom)
     q = value * n if param is BETA else value
     if not 0 <= q <= n:
         raise InputError(f"quota {q} outside [0, {n}]")
-    winners = tuple(sorted(profile.approval_winners()))
-    alphas = {
-        w: (Fraction(1) if tally.scores[w] == 0
-            else min(Fraction(1), q * tally.denom / tally.scores[w]))
-        for w in winners
-    }
-    return _seq_alpha_outcome(profile, winners, alphas)
+    return _seq_alpha_outcome(tally, lambda x1: (
+        Fraction(1) if tally.scores[x1] == 0
+        else min(Fraction(1), q * tally.denom / tally.scores[x1])))
 
 
-def seq_phragmen(profile: Profile) -> RuleOutcome:
+def seq_phragmen(tally: Tally) -> RuleOutcome:
     """First finalist an approval winner; second minimizes the voter load
     (1 + S(x1,y)/S(x1)) / S(y).
 
     Zero-score candidates carry infinite load and are excluded; if every
     candidate scores zero the outcome degenerates to all pairs.
     """
-    _require_two(profile)
-    tally = profile.tally()
     S, J = tally.scores, tally.joint
-    winners = tuple(sorted(profile.approval_winners()))
+    winners = tuple(sorted(tally.approval_winners()))
     if not any(S):
-        pairs = tuple(all_pairs(profile))
+        pairs = tuple(all_pairs(tally.m))
         return RuleOutcome(pairs, {p: Fraction(0) for p in pairs},
                            objective_sense="min", first_stage=winners)
     table: dict[CandidatePair, Fraction] = {}
@@ -263,7 +253,7 @@ def seq_phragmen(profile: Profile) -> RuleOutcome:
         # the load is a ratio of tallies, (S(x1) + S(x1,y)) * denom / (S(x1) * S(y))
         branch = {
             CandidatePair.of(x1, y): Fraction((S[x1] + J[x1][y]) * tally.denom, S[x1] * S[y])
-            for y in range(profile.m)
+            for y in range(tally.m)
             if y != x1 and S[y]
         }
         if branch:
@@ -271,18 +261,16 @@ def seq_phragmen(profile: Profile) -> RuleOutcome:
             best.update(_argbest(branch, "min"))
         else:
             # every other candidate scores zero: keep all pairs with x1
-            best.update(CandidatePair.of(x1, y) for y in range(profile.m) if y != x1)
+            best.update(CandidatePair.of(x1, y) for y in range(tally.m) if y != x1)
     return RuleOutcome(tuple(sorted(best)), table, objective_sense="min", first_stage=winners)
 
 
-def sav(profile: Profile) -> RuleOutcome:
+def sav(tally: Tally) -> RuleOutcome:
     """Each ballot splits its weight evenly over its approved candidates;
     pairs maximizing the summed split scores win. Empty ballots contribute
     nothing."""
-    _require_two(profile)
-    tally = profile.tally()
     split = tally.split
-    table = {p: split[p.lo] + split[p.hi] for p in all_pairs(profile)}
+    table = {p: split[p.lo] + split[p.hi] for p in all_pairs(tally.m)}
     return RuleOutcome(
         _argbest(table, "max"),
         _fractions(table, tally.split_denom),
@@ -290,24 +278,21 @@ def sav(profile: Profile) -> RuleOutcome:
     )
 
 
-def triv(profile: Profile) -> RuleOutcome:
+def triv(tally: Tally) -> RuleOutcome:
     """All pairs, regardless of the ballots."""
-    _require_two(profile)
-    pairs = tuple(all_pairs(profile))
+    pairs = tuple(all_pairs(tally.m))
     return RuleOutcome(pairs, {p: Fraction(0) for p in pairs})
 
 
-def ccav_plus(profile: Profile) -> RuleOutcome:
+def ccav_plus(tally: Tally) -> RuleOutcome:
     """Coverage-optimal pairs, ties broken by the plain approval sum.
 
     Scores are (coverage score, approval sum) compared lexicographically,
     so `pairs` is still the exact argmax of the table.
     """
-    _require_two(profile)
-    tally = profile.tally()
     S, J = tally.scores, tally.joint
     table = {}
-    for p in all_pairs(profile):
+    for p in all_pairs(tally.m):
         msum = S[p.lo] + S[p.hi]
         table[p] = (msum - J[p.lo][p.hi], msum)
     return RuleOutcome(
@@ -317,10 +302,11 @@ def ccav_plus(profile: Profile) -> RuleOutcome:
 
 
 def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
-    """Run the rule of `spec` on `profile`, approval or ranked: either way
-    the rule reads only its approval tally."""
+    """Run the rule of `spec` on the tally of `profile`, approval or ranked;
+    a profile needs at least two candidates."""
+    _require_two(profile.m)
     rule = _KINDS[spec.kind]
-    return rule.fn(profile, **{p.field: getattr(spec, p.field) for p in rule.params})
+    return rule.fn(profile.tally(), **{p.field: getattr(spec, p.field) for p in rule.params})
 
 
 class Rule(NamedTuple):
@@ -378,18 +364,17 @@ TRIV = RuleSpec.named("triv")
 CCAV_PLUS = RuleSpec.named("ccav+")
 
 
-def alpha_av_breakpoints(profile: Profile) -> list[Fraction]:
+def alpha_av_breakpoints(tally: Tally) -> list[Fraction]:
     """Exact alpha values in (0, 1] where the alpha-av argmax set changes.
 
     Pair scores are affine in alpha, so the argmax can only change where two
     pair lines cross; each candidate crossing is kept if the argmax set
     differs on its two sides.
     """
-    _require_two(profile)
-    tally = profile.tally()
+    _require_two(tally.m)
     S, J = tally.scores, tally.joint
     # each pair's line S(x) + S(y) - alpha * S(xy), over the tally's denominator
-    lines = {p: (S[p.lo] + S[p.hi], J[p.lo][p.hi]) for p in all_pairs(profile)}
+    lines = {p: (S[p.lo] + S[p.hi], J[p.lo][p.hi]) for p in all_pairs(tally.m)}
 
     def argmax_at(a: Fraction) -> frozenset[CandidatePair]:
         vals = {p: a.denominator * m - a.numerator * j for p, (m, j) in lines.items()}

@@ -43,11 +43,11 @@ def criterion(number, title, limit_seconds):
 
 def test_criterion_01_score_table_reproduction(spectrum):
     with criterion(1, "pair score table reproduced exactly", 1.0):
-        mav = rules.alpha_av(spectrum, 0)
-        pav = rules.alpha_av(spectrum, F(1, 2))
-        ccav = rules.alpha_av(spectrum, 1)
-        sphr = rules.seq_phragmen(spectrum)
-        sav = rules.sav(spectrum)
+        mav = rules.alpha_av(spectrum.tally(), 0)
+        pav = rules.alpha_av(spectrum.tally(), F(1, 2))
+        ccav = rules.alpha_av(spectrum.tally(), 1)
+        sphr = rules.seq_phragmen(spectrum.tally())
+        sav = rules.sav(spectrum.tally())
         rows = (B, C, D)
         assert [mav.score_table[pair(A, y)] for y in rows] == [22, 20, 17]
         assert [pav.score_table[pair(A, y)] for y in rows] == [17, 18, 17]
@@ -62,8 +62,8 @@ def test_criterion_01_score_table_reproduction(spectrum):
             F(32, 3), F(29, 3), F(28, 3),
         ]
         # the sequential variants coincide here (unique approval winner)
-        assert rules.alpha_seq_av(spectrum, F(1, 2)).score_table[pair(A, C)] == 18
-        assert rules.alpha_seq_av(spectrum, 1).score_table[pair(A, D)] == 17
+        assert rules.alpha_seq_av(spectrum.tally(), F(1, 2)).score_table[pair(A, C)] == 18
+        assert rules.alpha_seq_av(spectrum.tally(), 1).score_table[pair(A, D)] == 17
         # optima: plain {a,b}, half {a,c}, full {a,d}, load {a,c}, split {a,b}
         assert mav.pair_set == {pair(A, B)}
         assert pav.pair_set == {pair(A, C)}
@@ -74,10 +74,10 @@ def test_criterion_01_score_table_reproduction(spectrum):
 
 def test_criterion_02_quota_rule_examples(spectrum):
     with criterion(2, "quota rule at Droop and Hare quotas", 1.0):
-        droop = rules.enestrom_phragmen(spectrum, beta=F(1, 3))
+        droop = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 3))
         assert droop.branch_alphas == {A: F(17, 36)}
         assert droop.pair_set == {pair(A, C)}
-        hare = rules.enestrom_phragmen(spectrum, beta=F(1, 2))
+        hare = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 2))
         assert hare.branch_alphas == {A: F(17, 24)}
         assert hare.score_table[pair(A, C)] == F(103, 6)
         assert hare.pair_set == {pair(A, C)}
@@ -164,14 +164,14 @@ def test_criterion_08_monte_carlo_agreement():
 
 def test_criterion_09_alpha_sweep_breakpoints(spectrum):
     with criterion(9, "exact alpha crossings, verified on both sides", 1.0):
-        breakpoints = rules.alpha_av_breakpoints(spectrum)
+        breakpoints = rules.alpha_av_breakpoints(spectrum.tally())
         # solving 22 - 10a = 20 - 4a and 20 - 4a = 17 on the affine rows
         assert breakpoints == [F(1, 3), F(3, 4)]
         eps = F(1, 10000)
-        assert rules.alpha_av(spectrum, F(1, 3) - eps).pair_set == {pair(A, B)}
-        assert rules.alpha_av(spectrum, F(1, 3) + eps).pair_set == {pair(A, C)}
-        assert rules.alpha_av(spectrum, F(3, 4) - eps).pair_set == {pair(A, C)}
-        assert rules.alpha_av(spectrum, F(3, 4) + eps).pair_set == {pair(A, D)}
+        assert rules.alpha_av(spectrum.tally(), F(1, 3) - eps).pair_set == {pair(A, B)}
+        assert rules.alpha_av(spectrum.tally(), F(1, 3) + eps).pair_set == {pair(A, C)}
+        assert rules.alpha_av(spectrum.tally(), F(3, 4) - eps).pair_set == {pair(A, C)}
+        assert rules.alpha_av(spectrum.tally(), F(3, 4) + eps).pair_set == {pair(A, D)}
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):
@@ -208,7 +208,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             graph = fileio.jaccard_affinity(V)
             chunks.append(fileio.export_network(graph, F(1, 10), "dot"))
             chunks.append(fileio.export_network(graph, F(1, 10), "json"))
-            chunks.append(",".join(str(b) for b in rules.alpha_av_breakpoints(V)))
+            chunks.append(",".join(str(b) for b in rules.alpha_av_breakpoints(V.tally())))
             config = spatial.SpatialConfig(n_voters=2000, n_candidates=101, seed=11)
             chunks.append(spatial.sweep_csv(
                 spatial.sweep(config, [F(1, 4), F(3, 4)], [0.2, 0.4])))

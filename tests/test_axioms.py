@@ -485,6 +485,22 @@ class TestVerify:
         assert v.verify()
         assert not dataclasses.replace(v, **change).verify()
 
+    @pytest.mark.parametrize("rule,axiom,verifies", [
+        ("ccav", PARETO, True),
+        ("pav", MONOTONICITY, False),
+        ("ccav", axioms.STRATEGY_PROOFNESS, False),
+        ("mav", WEAK_CLONE_PROOFNESS, False),
+    ], ids=["pareto", "monotonicity", "strategy-proofness", "clone"])
+    def test_a_witness_with_half_voters(self, rule, axiom, verifies):
+        # halved group weights keep the winners, but a group of half a voter
+        # lies outside every transformation search: verify says False, not
+        # raises; domination does not depend on the weights
+        v = witnesses.stored_grid_counterexample(rule, axiom)
+        assert v.verify()
+        halved = dataclasses.replace(v, profile=v.profile.scaled(Fraction(1, 2)))
+        assert avr(halved.profile, v.rule).winners == v.winners_before
+        assert halved.verify() is verifies
+
 
 class TestCheckAxiomEntryPoint:
     def test_statuses_on_witness_profile(self):
@@ -539,6 +555,24 @@ class TestCheckAxiomEntryPoint:
         # one base runoff, then one per cloning extension
         assert calls.count(profile) == 1
         assert len(calls) == 1 + profile.m
+
+    def test_weak_clone_cell_checks_the_domain_once(self, monkeypatch):
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return in_weak_clone_domain(profile)
+
+        monkeypatch.setattr(axioms, "in_weak_clone_domain", counted)
+        outside = RankedProfile(3, [RankedBallot.from_threshold((0, 1, 2), 1, 2)])
+        for profile, spec, status in [
+            (witnesses.CLONE_TWO_BLOC_WITNESS, CCAV, "none"),
+            (witnesses.CLONE_TWO_BLOC_WITNESS, MAV, "violation"),
+            (outside, CCAV, "vacuous"),
+        ]:
+            calls.clear()
+            assert check_axiom(profile, spec, WEAK_CLONE_PROOFNESS).status == status
+            assert calls == [profile]
 
     def test_unknown_axiom_rejected(self, spectrum_ranked):
         with pytest.raises(InputError):

@@ -8,6 +8,9 @@ breaks that run. The tuples are read from the file, not imported.
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,18 @@ def test_spanned_function_resolves(module, cls, fn):
 def test_counted_function_is_a_generator(module, fn):
     mod = importlib.import_module(f"avrunoff.{module}")
     assert inspect.isgeneratorfunction(getattr(mod, fn, None))
+
+
+def test_traced_axiom_lab_counts_rule_evaluations():
+    # the tracer counts the calls of the functions it wraps: a rule reached
+    # by another path than `rules.evaluate` would go uncounted
+    run = TRACER.parent / "run.py"
+    result = subprocess.run(
+        [sys.executable, str(run), "--workload", "axiom-lab", "--seed", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True
+    for name in ("rules.evaluate.calls", "runoff.avr.calls"):
+        assert report["metrics"][name]["value"] > 0

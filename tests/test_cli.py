@@ -214,6 +214,9 @@ class TestAxioms:
     (("axioms", "--profile", SURVEY), "axioms_synthetic_survey.txt"),
     (("axioms", "--profile", SURVEY, "--format", "json"), "axioms_synthetic_survey.json"),
     (("score", "--profile", SPECTRUM, "--format", "json"), "score_spectrum.json"),
+    (("score", "--profile", SURVEY), "score_synthetic_survey.txt"),
+    (("score", "--profile", RANKED, "--format", "csv"), "score_spectrum_ranked.csv"),
+    (("sweep-alpha", "--profile", SPECTRUM, "--format", "json"), "sweep_alpha_spectrum.json"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_stdout_matches_the_golden_file(capsys, argv, golden):
     # every axiom cell's status, searched count and note, byte for byte
@@ -280,6 +283,22 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "--alpha" in err
+
+    @pytest.mark.parametrize("text", [
+        "candidates: a\n2 * a |\n",
+        "candidates: a\n2 * a\n",
+        "candidates: a\n",
+    ], ids=["ranked", "approval", "header-only"])
+    @pytest.mark.parametrize("command", [
+        ("score",), ("finalists", "--rule", "mav"), ("winner", "--rule", "mav"),
+        ("sweep-alpha",), ("axioms",), ("network",),
+    ], ids=lambda c: c[0])
+    def test_one_candidate_is_an_input_error(self, capsys, tmp_path, command, text):
+        profile = tmp_path / "one.avr"
+        profile.write_text(text)
+        code, out, err = run(capsys, *command, "--profile", str(profile))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
     def test_alpha_rule_name_is_normalised(self, capsys):
         code, out, _ = run(capsys, "finalists", "--profile", SPECTRUM,

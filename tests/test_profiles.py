@@ -45,15 +45,15 @@ class TestApprovalScores:
             spectrum.joint_score({0, 9})
 
     def test_approval_winners(self, spectrum):
-        assert spectrum.approval_winners() == {A}
+        assert spectrum.tally().approval_winners() == {A}
 
     def test_symmetric_tie_gives_both_winners(self):
         profile = ApprovalProfile(2, [ApprovalBallot({0}), ApprovalBallot({1})])
-        assert profile.approval_winners() == {0, 1}
+        assert profile.tally().approval_winners() == {0, 1}
 
     def test_all_empty_ballots_tie_everyone(self):
         profile = ApprovalProfile(3, [ApprovalBallot(set(), 2)])
-        assert profile.approval_winners() == {0, 1, 2}
+        assert profile.tally().approval_winners() == {0, 1, 2}
 
     @given(approval_profiles(fractional=True))
     def test_score_equals_singleton_joint(self, profile):
@@ -240,7 +240,7 @@ class TestSymmetries:
         V, sV = profile.as_approval(), scaled.as_approval()
         for c in range(profile.m):
             assert sV.approval_score(c) == V.approval_score(c) * factor
-        assert sV.approval_winners() == V.approval_winners()
+        assert sV.tally().approval_winners() == V.tally().approval_winners()
         assert scaled.condorcet_loser() == profile.condorcet_loser()
         for a, b in combinations(range(profile.m), 2):
             assert scaled.majority_winners(a, b) == profile.majority_winners(a, b)
@@ -253,7 +253,7 @@ class TestSymmetries:
             profile.m, [profile.ballots[i] for i in order], profile.labels
         )
         assert shuffled.score_vector() == profile.score_vector()
-        assert shuffled.approval_winners() == profile.approval_winners()
+        assert shuffled.tally().approval_winners() == profile.tally().approval_winners()
 
     @given(ranked_profiles(), st.data())
     def test_neutrality(self, profile, data):

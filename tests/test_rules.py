@@ -112,73 +112,75 @@ def oracle_sav(profile):
 
 class TestPairScoreFamily:
     def test_plain_sum_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum, 0)
+        out = rules.alpha_av(spectrum.tally(), 0)
         assert out.pair_set == pairs((A, B))
         assert out.score_table[pair(A, B)] == 22
         assert out.score_table[pair(A, C)] == 20
         assert out.score_table[pair(A, D)] == 17
 
     def test_half_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum, F(1, 2))
+        out = rules.alpha_av(spectrum.tally(), F(1, 2))
         assert out.pair_set == pairs((A, C))
         assert [out.score_table[pair(A, y)] for y in (B, C, D)] == [17, 18, 17]
 
     def test_full_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum, 1)
+        out = rules.alpha_av(spectrum.tally(), 1)
         assert out.pair_set == pairs((A, D))
         # the score of {a,b} is 12+10-10 = 12: every a-or-b approver counted once
         assert [out.score_table[pair(A, y)] for y in (B, C, D)] == [12, 16, 17]
 
     def test_double_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum, 2)
+        out = rules.alpha_av(spectrum.tally(), 2)
         assert out.pair_set == oracle_alpha_av(spectrum, F(2))
         assert out.score_table[pair(A, B)] == 2
 
     def test_table_covers_all_pairs(self, spectrum):
-        assert len(rules.alpha_av(spectrum, 0).score_table) == 6
+        assert len(rules.alpha_av(spectrum.tally(), 0).score_table) == 6
 
     def test_rejects_single_candidate(self):
-        with pytest.raises(InputError):
-            rules.alpha_av(ApprovalProfile(1, [ApprovalBallot({0})]), 0)
+        one = ApprovalProfile(1, [ApprovalBallot({0})])
+        for rule in rules.RULES:
+            with pytest.raises(InputError, match="at least two candidates"):
+                evaluate(one, RuleSpec.named(rule.name))
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 8), st.integers(1, 4)))
     def test_matches_oracle(self, profile, alpha):
-        assert rules.alpha_av(profile, alpha).pair_set == oracle_alpha_av(profile, alpha)
+        assert rules.alpha_av(profile.tally(), alpha).pair_set == oracle_alpha_av(profile, alpha)
 
 
 class TestSequentialFamily:
     def test_spectrum_matches_joint_versions(self, spectrum):
         # unique approval winner, so sequential equals joint here
-        assert rules.alpha_seq_av(spectrum, F(1, 2)).pair_set == pairs((A, C))
-        assert rules.alpha_seq_av(spectrum, 1).pair_set == pairs((A, D))
-        assert rules.alpha_seq_av(spectrum, 0).pair_set == pairs((A, B))
+        assert rules.alpha_seq_av(spectrum.tally(), F(1, 2)).pair_set == pairs((A, C))
+        assert rules.alpha_seq_av(spectrum.tally(), 1).pair_set == pairs((A, D))
+        assert rules.alpha_seq_av(spectrum.tally(), 0).pair_set == pairs((A, B))
 
     def test_table_carries_full_pair_scores(self, spectrum):
-        out = rules.alpha_seq_av(spectrum, F(1, 2))
+        out = rules.alpha_seq_av(spectrum.tally(), F(1, 2))
         assert out.score_table[pair(A, C)] == 18
         assert out.first_stage == (A,)
 
     def test_alpha_outside_unit_interval_rejected(self, spectrum):
         with pytest.raises(InputError):
-            rules.alpha_seq_av(spectrum, 2)
+            rules.alpha_seq_av(spectrum.tally(), 2)
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 4), st.integers(4, 4)))
     def test_matches_oracle(self, profile, alpha):
-        out = rules.alpha_seq_av(profile, alpha)
+        out = rules.alpha_seq_av(profile.tally(), alpha)
         assert out.pair_set == oracle_seq(profile, lambda x1: alpha)
 
     @given(approval_profiles(fractional=True))
     def test_zero_discount_equals_plain_pair_rule(self, profile):
         assert (
-            rules.alpha_seq_av(profile, 0).pair_set
-            == rules.alpha_av(profile, 0).pair_set
+            rules.alpha_seq_av(profile.tally(), 0).pair_set
+            == rules.alpha_av(profile.tally(), 0).pair_set
         )
 
     @given(approval_profiles(fractional=True))
     def test_every_pair_contains_an_approval_winner(self, profile):
-        winners = profile.approval_winners()
+        winners = profile.tally().approval_winners()
         for spec in (SPAV, SCCAV, SPHR, ENEPHR):
             for p in evaluate(profile, spec).pairs:
                 assert p.members() & winners
@@ -186,38 +188,38 @@ class TestSequentialFamily:
 
 class TestQuotaRule:
     def test_droop_quota_on_spectrum(self, spectrum):
-        out = rules.enestrom_phragmen(spectrum, beta=F(1, 3))
+        out = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 3))
         assert out.pair_set == pairs((A, C))
         assert out.branch_alphas == {A: F(17, 36)}
 
     def test_hare_quota_on_spectrum(self, spectrum):
-        out = rules.enestrom_phragmen(spectrum, beta=F(1, 2))
+        out = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 2))
         assert out.pair_set == pairs((A, C))
         assert out.branch_alphas == {A: F(17, 24)}
         assert out.score_table[pair(A, C)] == F(103, 6)
 
     def test_zero_quota_means_no_discount(self, spectrum):
         assert (
-            rules.enestrom_phragmen(spectrum, quota=0).pair_set
-            == rules.alpha_seq_av(spectrum, 0).pair_set
+            rules.enestrom_phragmen(spectrum.tally(), quota=0).pair_set
+            == rules.alpha_seq_av(spectrum.tally(), 0).pair_set
         )
 
     def test_quota_above_total_rejected(self, spectrum):
         with pytest.raises(InputError):
-            rules.enestrom_phragmen(spectrum, quota=18)
+            rules.enestrom_phragmen(spectrum.tally(), quota=18)
 
     @given(approval_profiles(fractional=True))
     def test_saturated_quota_equals_full_discount(self, profile):
         top = max(profile.score_vector())
         quota = min(top, profile.total_weight)
-        out = rules.enestrom_phragmen(profile, quota=quota)
-        assert out.pair_set == rules.alpha_seq_av(profile, 1).pair_set
+        out = rules.enestrom_phragmen(profile.tally(), quota=quota)
+        assert out.pair_set == rules.alpha_seq_av(profile.tally(), 1).pair_set
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 3), st.integers(3, 3)))
     def test_matches_oracle(self, profile, beta):
         quota = beta * profile.total_weight
-        out = rules.enestrom_phragmen(profile, beta=beta)
+        out = rules.enestrom_phragmen(profile.tally(), beta=beta)
         scores = [brute_score(profile, c) for c in range(profile.m)]
 
         def branch_alpha(x1):
@@ -228,7 +230,7 @@ class TestQuotaRule:
 
 class TestLoadMinimizer:
     def test_spectrum_loads(self, spectrum):
-        out = rules.seq_phragmen(spectrum)
+        out = rules.seq_phragmen(spectrum.tally())
         assert out.pair_set == pairs((A, C))
         assert out.objective_sense == "min"
         assert out.score_table[pair(A, B)] == F(22, 120)
@@ -237,27 +239,27 @@ class TestLoadMinimizer:
 
     def test_two_identical_ballots(self):
         profile = parse_profile("candidates: a b\n2 * a b\n")
-        out = rules.seq_phragmen(profile)
+        out = rules.seq_phragmen(profile.tally())
         assert set(out.score_table.values()) == {F(1)}
 
     def test_all_empty_profile_degenerates_to_all_pairs(self):
         profile = ApprovalProfile(3, [ApprovalBallot(set(), 2)])
-        assert rules.seq_phragmen(profile).pair_set == frozenset(rules.all_pairs(profile))
+        assert rules.seq_phragmen(profile.tally()).pair_set == frozenset(rules.all_pairs(profile.m))
 
     def test_zero_score_candidates_excluded(self):
         profile = parse_profile("candidates: a b c\n2 * a\n1 * a b\n")
-        out = rules.seq_phragmen(profile)
+        out = rules.seq_phragmen(profile.tally())
         assert out.pair_set == pairs((A, B))
         assert pair(A, C) not in out.score_table
 
     @given(approval_profiles(fractional=True))
     def test_matches_oracle(self, profile):
-        assert rules.seq_phragmen(profile).pair_set == oracle_seq_phragmen(profile)
+        assert rules.seq_phragmen(profile.tally()).pair_set == oracle_seq_phragmen(profile)
 
 
 class TestSplitScores:
     def test_spectrum_split_values(self, spectrum):
-        out = rules.sav(spectrum)
+        out = rules.sav(spectrum.tally())
         assert out.candidate_scores == {A: F(19, 3), B: F(13, 3), C: F(10, 3), D: F(3)}
         assert out.pair_set == pairs((A, B))
         assert out.score_table[pair(A, B)] == F(32, 3)
@@ -266,48 +268,48 @@ class TestSplitScores:
 
     def test_single_ballot(self):
         profile = parse_profile("candidates: a b\n1 * a b\n")
-        out = rules.sav(profile)
+        out = rules.sav(profile.tally())
         assert out.candidate_scores == {0: F(1, 2), 1: F(1, 2)}
         assert out.pair_set == pairs((0, 1))
 
     @given(approval_profiles(fractional=True))
     def test_matches_oracle(self, profile):
-        assert rules.sav(profile).pair_set == oracle_sav(profile)
+        assert rules.sav(profile.tally()).pair_set == oracle_sav(profile)
 
 
 class TestAllPairsRule:
     def test_pair_counts(self):
         four = ApprovalProfile(4, [ApprovalBallot({0})])
         two = ApprovalProfile(2, [ApprovalBallot({0})])
-        assert len(rules.triv(four).pairs) == 6
-        assert len(rules.triv(two).pairs) == 1
+        assert len(rules.triv(four.tally()).pairs) == 6
+        assert len(rules.triv(two.tally()).pairs) == 1
 
     @given(approval_profiles(), approval_profiles())
     def test_ignores_ballots(self, p1, p2):
         if p1.m == p2.m:
-            assert rules.triv(p1).pair_set == rules.triv(p2).pair_set
+            assert rules.triv(p1.tally()).pair_set == rules.triv(p2.tally()).pair_set
 
 
 class TestCoverageWithTieBreak:
     def test_unique_coverage_pair_unchanged(self, spectrum):
         assert (
-            rules.ccav_plus(spectrum).pair_set
-            == rules.alpha_av(spectrum, 1).pair_set
+            rules.ccav_plus(spectrum.tally()).pair_set
+            == rules.alpha_av(spectrum.tally(), 1).pair_set
             == pairs((A, D))
         )
 
     def test_tie_broken_by_plain_sum(self):
         profile = parse_profile("candidates: a b c\n1 * a\n1 * b\n1 * c\n1 * a b\n")
-        coverage = rules.alpha_av(profile, 1)
+        coverage = rules.alpha_av(profile.tally(), 1)
         assert coverage.pair_set == pairs((A, B), (A, C), (B, C))
-        assert rules.ccav_plus(profile).pair_set == pairs((A, B))
+        assert rules.ccav_plus(profile.tally()).pair_set == pairs((A, B))
 
     @given(approval_profiles(fractional=True))
     def test_refines_the_coverage_rule(self, profile):
-        kept = rules.ccav_plus(profile).pair_set
-        coverage = rules.alpha_av(profile, 1)
+        kept = rules.ccav_plus(profile.tally()).pair_set
+        coverage = rules.alpha_av(profile.tally(), 1)
         assert kept <= coverage.pair_set
-        plain = rules.alpha_av(profile, 0).score_table
+        plain = rules.alpha_av(profile.tally(), 0).score_table
         best = max(plain[p] for p in coverage.pair_set)
         assert kept == {p for p in coverage.pair_set if plain[p] == best}
 
@@ -315,16 +317,16 @@ class TestCoverageWithTieBreak:
 class TestDispatch:
     def test_named_aliases(self, spectrum):
         for name, direct in [
-            ("mav", rules.alpha_av(spectrum, 0)),
-            ("pav", rules.alpha_av(spectrum, F(1, 2))),
-            ("ccav", rules.alpha_av(spectrum, 1)),
-            ("2av", rules.alpha_av(spectrum, 2)),
-            ("spav", rules.alpha_seq_av(spectrum, F(1, 2))),
-            ("sccav", rules.alpha_seq_av(spectrum, 1)),
-            ("sphr", rules.seq_phragmen(spectrum)),
-            ("sav", rules.sav(spectrum)),
-            ("triv", rules.triv(spectrum)),
-            ("ccav+", rules.ccav_plus(spectrum)),
+            ("mav", rules.alpha_av(spectrum.tally(), 0)),
+            ("pav", rules.alpha_av(spectrum.tally(), F(1, 2))),
+            ("ccav", rules.alpha_av(spectrum.tally(), 1)),
+            ("2av", rules.alpha_av(spectrum.tally(), 2)),
+            ("spav", rules.alpha_seq_av(spectrum.tally(), F(1, 2))),
+            ("sccav", rules.alpha_seq_av(spectrum.tally(), 1)),
+            ("sphr", rules.seq_phragmen(spectrum.tally())),
+            ("sav", rules.sav(spectrum.tally())),
+            ("triv", rules.triv(spectrum.tally())),
+            ("ccav+", rules.ccav_plus(spectrum.tally())),
         ]:
             via_spec = evaluate(spectrum, RuleSpec.named(name))
             assert via_spec.pair_set == direct.pair_set
@@ -332,7 +334,7 @@ class TestDispatch:
     def test_parameterized_names(self, spectrum):
         assert (
             evaluate(spectrum, RuleSpec.named("alpha-av:1/2")).pair_set
-            == rules.alpha_av(spectrum, F(1, 2)).pair_set
+            == rules.alpha_av(spectrum.tally(), F(1, 2)).pair_set
         )
         assert (
             evaluate(spectrum, RuleSpec.named("enephr")).pair_set == pairs((A, C))
@@ -384,31 +386,31 @@ class TestRuleSymmetries:
 
 class TestBreakpoints:
     def test_spectrum_crossings_exact(self, spectrum):
-        assert rules.alpha_av_breakpoints(spectrum) == [F(1, 3), F(3, 4)]
+        assert rules.alpha_av_breakpoints(spectrum.tally()) == [F(1, 3), F(3, 4)]
 
     def test_crossings_verified_on_both_sides(self, spectrum):
         eps = F(1, 1000)
-        for bp in rules.alpha_av_breakpoints(spectrum):
-            below = rules.alpha_av(spectrum, bp - eps).pair_set
-            at = rules.alpha_av(spectrum, bp).pair_set
-            above = rules.alpha_av(spectrum, bp + eps).pair_set
+        for bp in rules.alpha_av_breakpoints(spectrum.tally()):
+            below = rules.alpha_av(spectrum.tally(), bp - eps).pair_set
+            at = rules.alpha_av(spectrum.tally(), bp).pair_set
+            above = rules.alpha_av(spectrum.tally(), bp + eps).pair_set
             assert below != above
             assert at == below | above
 
     @given(approval_profiles(fractional=True))
     def test_argmax_constant_between_crossings(self, profile):
-        points = [F(0)] + rules.alpha_av_breakpoints(profile) + [F(1)]
+        points = [F(0)] + rules.alpha_av_breakpoints(profile.tally()) + [F(1)]
         for lo, hi in zip(points, points[1:]):
             third = (hi - lo) / 3
-            left = rules.alpha_av(profile, lo + third).pair_set
-            right = rules.alpha_av(profile, hi - third).pair_set
+            left = rules.alpha_av(profile.tally(), lo + third).pair_set
+            right = rules.alpha_av(profile.tally(), hi - third).pair_set
             assert left == right
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 12), st.integers(12, 12)))
     def test_scores_affine_in_alpha(self, profile, alpha):
-        at0 = rules.alpha_av(profile, 0).score_table
-        at1 = rules.alpha_av(profile, 1).score_table
-        now = rules.alpha_av(profile, alpha).score_table
+        at0 = rules.alpha_av(profile.tally(), 0).score_table
+        at1 = rules.alpha_av(profile.tally(), 1).score_table
+        now = rules.alpha_av(profile.tally(), alpha).score_table
         for p in now:
             assert now[p] == at0[p] + alpha * (at1[p] - at0[p])

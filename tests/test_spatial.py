@@ -204,7 +204,7 @@ class TestFastPathEquivalence:
         )
         report = spatial.empirical_second_finalist(config, alpha)
         profile = spatial.sample_profile(config)
-        outcome = alpha_seq_av(profile.as_approval(), alpha)
+        outcome = alpha_seq_av(profile.as_approval().tally(), alpha)
         grid = spatial.candidate_positions(config)
         scores = profile.as_approval().score_vector()
         x1s = outcome.first_stage
