@@ -12,9 +12,18 @@ way, after checking that it lies in its axiom's search space;
 through it. Searches return the first hit of a fixed deterministic order,
 the lexicographically smallest witness, and every search is exact at any
 profile size: the monotonicity search enumerates its polynomial space and
-runs the runoff only on the improvements that change approvals, the
-manipulation search evaluates the rule once per voter and approval set, and
-the clone search runs one extension per candidate.
+screens only the improvements that change approvals, the manipulation
+search evaluates the rule at most once per pair of a true and a deviating
+approval set, and the clone search screens one extension per candidate.
+
+A screen judges a transformation on the base profile's integer `Tally` and
+preference matrix, and builds no profile: one voter moved from approval
+set A to S is `Tally.moved(A, S)`, whose finalist pairs are cached on the
+profile per (rule, A, S) and shared by every voter with true approvals A,
+both manipulation modes and the monotonicity search; its margins are the
+base margins with one ranking swapped for another. A cloning's tally and
+margins are read off the original's. Only a screen's hit reaches the
+judge, which builds the transformed profile and the `Violation`.
 """
 
 from __future__ import annotations
@@ -23,15 +32,16 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from avrunoff.profiles import (
     ApprovalProfile,
     InputError,
     RankedBallot,
     RankedProfile,
+    Tally,
 )
-from avrunoff.rules import CandidatePair, RuleSpec, evaluate
+from avrunoff.rules import CandidatePair, RuleSpec, evaluate, tally_outcome
 from avrunoff.runoff import avr
 
 PARETO = "pareto"
@@ -238,6 +248,51 @@ def _judged(axiom, profile, spec, winners_before, transformed, broken, **fields)
     return Violation(axiom, spec, profile, winners_before, transformed, after, **fields)
 
 
+def _moved_pairs(profile: RankedProfile, spec: RuleSpec, old: frozenset[int],
+                 new: frozenset[int]) -> tuple[CandidatePair, ...]:
+    """The finalist pairs of `profile` with one voter moved from approving
+    `old` to approving `new`, evaluated on the moved tally. They are cached
+    on the profile by (spec, old, new), so the voters that share a true
+    approval set, both manipulation modes and the monotonicity search share
+    each evaluation."""
+    cache = profile.__dict__.setdefault("_moved_pairs", {})
+    pairs = cache.get((spec, old, new))
+    if pairs is None:
+        pairs = tally_outcome(profile.tally().moved(old, new), spec).pairs
+        cache[spec, old, new] = pairs
+    return pairs
+
+
+def _moved_winners(profile: RankedProfile, spec: RuleSpec, voter: int,
+                   ballot: RankedBallot) -> frozenset[int]:
+    """The runoff winners of `profile.replace_ballot(voter, ballot)`, without
+    building it: the pairs of `_moved_pairs`, and each margin the base
+    margin with the voter's old ranking taken out and the new one put in."""
+    prefs, _ = profile._preferences()  # whole voters: over denominator 1
+    old = profile.ballots[voter]
+    return _runoff_winners(
+        _moved_pairs(profile, spec, old.approved, ballot.approved),
+        lambda x, y: prefs[x][y] - prefs[y][x] - _vote(old, x, y) + _vote(ballot, x, y))
+
+
+def _runoff_winners(pairs, margin) -> frozenset[int]:
+    """The winners `avr` finds on the finalist `pairs`, given the majority
+    margin(x, y) of each."""
+    won = set()
+    for x, y in pairs:
+        d = margin(x, y)
+        if d >= 0:
+            won.add(x)
+        if d <= 0:
+            won.add(y)
+    return frozenset(won)
+
+
+def _vote(ballot: RankedBallot, x: int, y: int) -> int:
+    """What one voter casting `ballot` adds to the margin of x over y."""
+    return 1 if ballot.prefers(x, y) else -1
+
+
 def _whole_voters(profile: RankedProfile) -> bool:
     """Each group stands for a whole number of voters."""
     return all(b.weight == int(b.weight) for b in profile.ballots)
@@ -258,11 +313,19 @@ def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> Searc
     The space, at most |winners| * n * (2m + 1) improvements, is enumerated
     in the order of `a_improvements`, and `searched` counts each one up to
     the witness. Only the improvements that add `a` to the voter's
-    approvals are run. One that keeps them cannot unseat `a`: the rule
+    approvals are judged. One that keeps them cannot unseat `a`: the rule
     reads only the approval tally, which it leaves as it was, so the
     finalist pairs stay the same; and it moves only `a` up, so `a`'s
     majority margin against each rival rises or stays, and `a` still wins
     every pair it won.
+
+    One that adds `a` is screened without building a profile
+    (`_moved_winners`): its finalist pairs are those of the tally with one
+    voter moved from the approval set A to A ∪ {a}, cached per
+    (A, A ∪ {a}), and its margins are the base margins with the voter's old
+    ranking taken out and the new one put in. Only an improvement after
+    which `a` wins no pair reaches `improvement_violation`, which builds the
+    witness.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec)
@@ -270,7 +333,8 @@ def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> Searc
     for a in sorted(base.winners):
         for i, ballot in a_improvements(profile, a):
             searched += 1
-            if ballot.approved == profile.ballots[i].approved:
+            if (ballot.approved == profile.ballots[i].approved
+                    or a in _moved_winners(profile, spec, i, ballot)):
                 continue
             found = improvement_violation(profile, spec, base.winners, a, i, ballot)
             if found is not None:
@@ -337,17 +401,28 @@ def find_manipulation(
     enumeration's skipping it only shifts positions: `searched` is the
     witness's position in the enumeration, counting every deviation of the
     voters before it, or the enumeration's length when there is none.
+
+    F(S) is evaluated on the base tally with one voter moved from the true
+    approval set A to S, and cached by (A, S) (see `_moved_pairs`), so the
+    voters that share A and both modes evaluate the rule once per (A, S).
+    Voters with equal true ballots have the same first deviation, which is
+    found once. Only the witness is built as a profile, by
+    `deviation_violation`.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec).winners
     m = profile.m
+    firsts: dict = {}
     searched = 0
     for i, true_ballot in enumerate(profile.ballots):
         if true_ballot.weight == 0:
             continue
         goal = manipulation_goal(mode, true_ballot, base)
         own = true_ballot.is_consistent()
-        first = _first_deviation(profile, spec, i, goal) if goal else None
+        key = (true_ballot.ranking, true_ballot.approved)
+        if key not in firsts:
+            firsts[key] = _first_deviation(profile, spec, true_ballot, goal) if goal else None
+        first = firsts[key]
         if first is None:
             searched += math.factorial(m) * (m + 1) - own
             continue
@@ -360,12 +435,11 @@ def find_manipulation(
     return SearchOutcome(None, searched)
 
 
-def _first_deviation(profile, spec, i, goal) -> Optional[tuple[tuple[int, ...], int]]:
-    """The smallest (ranking, t) by which voter i elects a candidate of
-    `goal`, or None; see `find_manipulation`."""
+def _first_deviation(profile, spec, true, goal) -> Optional[tuple[tuple[int, ...], int]]:
+    """The smallest (ranking, t) by which a voter whose true ballot is
+    `true` elects a candidate of `goal`, or None; see `find_manipulation`."""
     m = profile.m
     prefs, _ = profile._preferences()  # whole voters: over denominator 1
-    true = profile.ballots[i]
     orders = sorted(
         (top + tuple(c for c in range(m) if c not in top), t)
         for t in range(m + 1)
@@ -376,13 +450,12 @@ def _first_deviation(profile, spec, i, goal) -> Optional[tuple[tuple[int, ...], 
         if best is not None and (smallest, t) > best:
             break
         S = frozenset(smallest[:t])
-        moved = profile.replace_ballot(i, RankedBallot(smallest, S, 1))
-        for pair in evaluate(moved, spec).pairs:
+        for pair in _moved_pairs(profile, spec, true.approved, S):
             for a, b in (pair, pair[::-1]):
                 if b in S and a not in S:
                     continue
                 # m0, the margin of a over b without the true ballot, + 1
-                margin = prefs[a][b] - prefs[b][a] - (1 if true.prefers(a, b) else -1) + 1
+                margin = prefs[a][b] - prefs[b][a] - _vote(true, a, b) + 1
                 if not goal & ({a} if margin > 0 else {b} if margin < 0 else {a, b}):
                     continue
                 ranking = list(smallest)
@@ -455,6 +528,11 @@ def find_clone_violation(
     on the split, and the first split (the clone just below `a` on every
     ballot) is the full enumeration's first witness.
 
+    Each candidate is screened on that extension's tally and margins, read
+    off the profile's own (see `_clone_screen`); only a candidate whose
+    screen breaks the conditions reaches `cloning_violation`'s judge, which
+    builds the extension and the witness.
+
     With weak=True the check applies only on profiles where no candidate is
     approved in every non-empty ballot; outside that domain the result is a
     flagged vacuous pass.
@@ -464,10 +542,46 @@ def find_clone_violation(
         return SearchOutcome(None, 0, vacuous=True)
     base = avr(profile, spec).winners
     for a in range(profile.m):
+        tally, margin = _clone_screen(profile, a)
+        after = _runoff_winners(tally_outcome(tally, spec).pairs, margin)
+        if clone_conditions_hold(base, after, a, profile.m):
+            continue
         found = _cloned(profile, spec, base, a, weak)
         if found is not None:
             return SearchOutcome(found, a + 1)
     return SearchOutcome(None, profile.m)
+
+
+def _clone_screen(profile: RankedProfile, a: int) -> tuple[Tally, Callable[[int, int], int]]:
+    """The tally and the majority margin(x, y) of
+    `next(cloning_extensions(profile, a))`, the clone (id m) just below `a`
+    on every ballot, without building it.
+
+    The clone's scores and joint approvals copy a's row; in `split` each
+    approval set that contains `a` is one larger. margin(x, clone) =
+    margin(x, a) for every other x, and `a` beats the clone by the total
+    weight.
+    """
+    m, tally = profile.m, profile.tally()
+    prefs, _ = profile._preferences()
+    ints, denom = profile._int_weights()
+    approvals = [b.approved | {m} if a in b.approved else b.approved for b in profile.ballots]
+    sizes = math.lcm(*(len(s) for s in approvals if s))
+    split = [0] * (m + 1)
+    for approved, w in zip(approvals, ints):
+        for x in approved:
+            split[x] += w * (sizes // len(approved))
+    joint = tuple(row + (row[a],) for row in tally.joint) + (tally.joint[a] + (tally.scores[a],),)
+    cloned = Tally(denom, tally.total, tally.scores + (tally.scores[a],), joint,
+                   tuple(split), denom * sizes)
+
+    def margin(x: int, y: int) -> int:
+        if {x, y} == {a, m}:
+            return tally.total if x == a else -tally.total
+        x, y = (a if x == m else x), (a if y == m else y)
+        return prefs[x][y] - prefs[y][x]
+
+    return cloned, margin
 
 
 def cloning_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],

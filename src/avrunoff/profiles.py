@@ -153,6 +153,26 @@ class Tally(NamedTuple):
         best = max(self.scores)
         return frozenset(c for c, s in enumerate(self.scores) if s == best)
 
+    def moved(self, old: frozenset[int], new: frozenset[int]) -> "Tally":
+        """The tally with one voter (weight 1) moved from approving `old` to
+        approving `new`, in O(m²). `split` is rescaled only when a set's size
+        does not divide its denominator."""
+        sizes = self.split_denom // self.denom
+        scale = math.lcm(sizes, *(len(s) for s in (old, new) if s)) // sizes
+        scores, split = list(self.scores), [s * scale for s in self.split]
+        rows = {x: list(self.joint[x]) for x in old | new}
+        for approved, unit in ((old, -self.denom), (new, self.denom)):
+            share = unit * (sizes * scale // len(approved)) if approved else 0
+            for x in approved:
+                scores[x] += unit
+                split[x] += share
+                row = rows[x]
+                for y in approved:
+                    row[y] += unit
+        joint = tuple(tuple(rows[x]) if x in rows else r for x, r in enumerate(self.joint))
+        return Tally(self.denom, self.total, tuple(scores), joint, tuple(split),
+                     self.split_denom * scale)
+
 
 def _check_ballot(i: int, b, full: frozenset[int]) -> None:
     """Ballot `i` fits the candidates `full` = {0..m-1}: it approves only

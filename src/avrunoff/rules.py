@@ -8,7 +8,8 @@ the clone-resistant variant. Sequential variants fix the first finalist as
 an approval winner and optimize the second seat only.
 
 A rule is a function of a profile's `Tally` (`evaluate` runs it on a
-profile, approval or ranked, of at least two candidates): it compares
+profile, approval or ranked, of at least two candidates, and
+`tally_outcome` on a tally no profile was built for): it compares
 integers, cross-multiplied by a parameter's denominator, and builds
 Fractions only for the outcome.
 """
@@ -305,8 +306,14 @@ def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
     """Run the rule of `spec` on the tally of `profile`, approval or ranked;
     a profile needs at least two candidates."""
     _require_two(profile.m)
+    return tally_outcome(profile.tally(), spec)
+
+
+def tally_outcome(tally: Tally, spec: RuleSpec) -> RuleOutcome:
+    """Run the rule of `spec` on `tally`, which the caller knows has at
+    least two candidates: the entry for tallies no profile was built for."""
     rule = _KINDS[spec.kind]
-    return rule.fn(profile.tally(), **{p.field: getattr(spec, p.field) for p in rule.params})
+    return rule.fn(tally, **{p.field: getattr(spec, p.field) for p in rule.params})
 
 
 class Rule(NamedTuple):

@@ -62,3 +62,14 @@ def ranked_profiles(draw, max_m=5, max_n=6, unit_weights=False):
 @st.composite
 def permutations_of(draw, m):
     return draw(st.permutations(range(m)))
+
+
+def tally_values(tally):
+    """What a tally counts, as Fractions: equal for equal profiles whatever
+    the denominators the tally keeps them over."""
+    return (
+        Fraction(tally.total, tally.denom),
+        [Fraction(s, tally.denom) for s in tally.scores],
+        [[Fraction(j, tally.denom) for j in row] for row in tally.joint],
+        [Fraction(s, tally.split_denom) for s in tally.split],
+    )

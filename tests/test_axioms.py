@@ -2,12 +2,13 @@
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from avrunoff import axioms, witnesses
+from avrunoff import axioms, rules, witnesses
 from avrunoff.axioms import (
     MONOTONICITY,
     PARETO,
@@ -28,8 +29,9 @@ from avrunoff.axioms import (
     random_ranked_profile,
 )
 from avrunoff.profiles import InputError, RankedBallot, RankedProfile
-from avrunoff.rules import CCAV, MAV, SCCAV, TRIV, RuleSpec
+from avrunoff.rules import CCAV, MAV, SCCAV, TRIV, RuleSpec, evaluate
 from avrunoff.runoff import avr
+from conftest import tally_values
 from test_witnesses import (
     CLONE_BREAKING_RULES,
     CLONE_DEGENERATE_PROFILE,
@@ -269,6 +271,165 @@ def manipulation_profile(rng, m, groups):
     return RankedProfile(m, ballots)
 
 
+def rebuilt_first_deviation(profile, spec, i, goal):
+    """The smallest (ranking, t) by which voter i elects a candidate of
+    `goal`, with the rule evaluated once per approval set S on the profile
+    rebuilt with the voter moved to S by `replace_ballot`."""
+    m = profile.m
+    prefs, _ = profile._preferences()
+    true = profile.ballots[i]
+    orders = sorted(
+        (top + tuple(c for c in range(m) if c not in top), t)
+        for t in range(m + 1)
+        for top in itertools.combinations(range(m), t)
+    )
+    best = None
+    for smallest, t in orders:
+        if best is not None and (smallest, t) > best:
+            break
+        S = frozenset(smallest[:t])
+        moved = profile.replace_ballot(i, RankedBallot(smallest, S, 1))
+        for pair in evaluate(moved, spec).pairs:
+            for a, b in (pair, pair[::-1]):
+                if b in S and a not in S:
+                    continue
+                margin = prefs[a][b] - prefs[b][a] - (1 if true.prefers(a, b) else -1) + 1
+                if not goal & ({a} if margin > 0 else {b} if margin < 0 else {a, b}):
+                    continue
+                ranking = list(smallest)
+                if ranking.index(b) < ranking.index(a):
+                    ranking.remove(b)
+                    ranking.insert(ranking.index(a) + 1, b)
+                if best is None or (tuple(ranking), t) < best:
+                    best = (tuple(ranking), t)
+    return best
+
+
+def rebuilt_manipulation(profile, spec, mode):
+    """The manipulation search voter by voter through
+    `rebuilt_first_deviation`, with no memo and no cache: the witness and
+    its position in the `i_deviations` enumeration."""
+    base = avr(profile, spec).winners
+    m = profile.m
+    searched = 0
+    for i, true_ballot in enumerate(profile.ballots):
+        if true_ballot.weight == 0:
+            continue
+        goal = axioms.manipulation_goal(mode, true_ballot, base)
+        own = true_ballot.is_consistent()
+        first = rebuilt_first_deviation(profile, spec, i, goal) if goal else None
+        if first is None:
+            searched += math.factorial(m) * (m + 1) - own
+            continue
+        ranking, t = first
+        position = axioms._lex_rank(ranking) * (m + 1) + t
+        own_position = axioms._lex_rank(true_ballot.ranking) * (m + 1) + true_ballot.threshold
+        searched += position + 1 - (own and own_position < position)
+        ballot = RankedBallot.from_threshold(ranking, t, 1)
+        return deviation_violation(profile, spec, base, i, ballot, mode), searched
+    return None, searched
+
+
+def election_profile(rng, m, groups, max_weight):
+    """Election-shaped: most groups single-peaked (voters on [-1, 1] ranking
+    evenly spaced candidates by distance, approving those within 0.4), the
+    rest a random ranking and approval set; weights 0 to `max_weight`; one
+    group in five repeated with a weight of its own."""
+    pos = [-1 + 2 * c / (m - 1) for c in range(m)]
+    ballots = []
+    for _ in range(groups):
+        if rng.random() < 0.8:
+            x = rng.triangular(-1, 1, 0)
+            ranking = sorted(range(m), key=lambda c: (abs(pos[c] - x), pos[c]))
+            approved = [c for c in range(m) if abs(pos[c] - x) < 0.4]
+        else:
+            ranking = rng.sample(range(m), m)
+            approved = rng.sample(range(m), rng.randint(0, 3))
+        ballots.append(RankedBallot(ranking, approved, rng.randint(0, max_weight)))
+        if rng.random() < 0.2:
+            ballots.append(RankedBallot(ranking, approved, rng.randint(0, max_weight)))
+    return RankedProfile(m, ballots)
+
+
+class TestTallyScreens:
+    """The searches judge each transformation on the base tally and build a
+    profile only for the witness; each is compared here with a search that
+    rebuilds and reruns every transformation it judges."""
+
+    SPECS = [spec for _, spec in axioms.GRID_RULES] + [
+        RuleSpec.named(name) for name in ("2av", "ccav+")]
+
+    def test_election_shaped_profiles_get_the_rebuilt_searches_witnesses(self):
+        # the rebuilt manipulation search costs O(groups²) per voter, so the
+        # profile of 120 groups runs it under one rule
+        rng = random.Random(97)
+        cases = [(election_profile(rng, m, groups, max_weight), self.SPECS)
+                 for m, groups, max_weight in ((6, 10, 2), (7, 8, 2), (8, 6, 2), (6, 12, 3),
+                                               (7, 10, 1))]
+        cases.append((election_profile(rng, 6, 120, 9), [MAV]))
+        seen = set()
+        for profile, manipulation_specs in cases:
+            if any(b.weight == 0 for b in profile.ballots):
+                seen.add("zero weight")
+            if len({(b.ranking, b.approved) for b in profile.ballots}) < len(profile.ballots):
+                seen.add("repeated ballot")
+            for spec in self.SPECS:
+                expected = enumerated_monotonicity(profile, spec)
+                out = find_monotonicity_violation(profile, spec)
+                assert (out.violation, out.searched) == expected, (profile, spec)
+                seen.add(("monotonicity", out.status))
+                for mode in ("strong", "weak") if spec in manipulation_specs else ():
+                    expected = rebuilt_manipulation(profile, spec, mode)
+                    out = find_manipulation(profile, spec, mode)
+                    assert (out.violation, out.searched) == expected, (profile, spec, mode)
+                    seen.add((mode, out.status))
+                before = avr(profile, spec).winners
+                hits = [(a + 1, v) for a in range(profile.m)
+                        for v in [cloning_violation(profile, spec, before, a)] if v is not None]
+                out = find_clone_violation(profile, spec)
+                assert (out.searched, out.violation) == (hits[0] if hits else (profile.m, None))
+                seen.add(("clone", out.status))
+        assert seen >= {"zero weight", "repeated ballot", ("monotonicity", "none"),
+                        ("monotonicity", "violation"), ("strong", "none"),
+                        ("strong", "violation"), ("weak", "none"), ("weak", "violation"),
+                        ("clone", "none"), ("clone", "violation")}, seen
+
+    def test_one_voter_move_gets_the_rebuilt_profiles_winners(self):
+        rng = random.Random(101)
+        for _ in range(60):
+            m = rng.randint(2, 5)
+            profile = manipulation_profile(rng, m, rng.randint(1, 4))
+            for spec in self.SPECS:
+                for i, old in enumerate(profile.ballots):
+                    if old.weight == 0:
+                        continue
+                    ballot = RankedBallot(rng.sample(range(m), m),
+                                          rng.sample(range(m), rng.randint(0, m)))
+                    assert axioms._moved_winners(profile, spec, i, ballot) == avr(
+                        profile.replace_ballot(i, ballot), spec).winners
+
+    @pytest.mark.parametrize("name", ["mav", "pav", "sav", "sphr"])
+    def test_strategy_proofness_cell_evaluates_the_rule_once_per_approval_set(
+            self, name, monkeypatch):
+        # four voters share the true approval set {0}, each with a ranking of
+        # their own; the others' goal is empty, as they rank the winner 3
+        # first. A search per voter and mode would evaluate 4 * 2 * 2^4 times.
+        evaluated = []
+
+        def counted(tally, spec):
+            evaluated.append(tally)
+            return rules.tally_outcome(tally, spec)
+
+        monkeypatch.setattr(axioms, "tally_outcome", counted)
+        profile = RankedProfile(4, [
+            *(RankedBallot(r, {0}, 1)
+              for r in ((0, 1, 2, 3), (0, 2, 1, 3), (1, 0, 2, 3), (2, 0, 1, 3))),
+            RankedBallot((3, 2, 1, 0), {3}, 5), RankedBallot((3, 1, 2, 0), {1, 3}, 1)])
+        out = check_axiom(profile, RuleSpec.named(name), axioms.STRATEGY_PROOFNESS)
+        assert out.status == "none"
+        assert len(evaluated) == len(set(evaluated)) == 2 ** profile.m
+
+
 class TestFirstDeviation:
     SPECS = [spec for _, spec in axioms.GRID_RULES] + [
         RuleSpec.named(name) for name in ("2av", "ccav+", "alpha-seq:1/3")]
@@ -443,6 +604,25 @@ class TestCloneSearch:
                         "none", "violation", "vacuous"}
 
 
+    def test_screen_is_the_first_extensions_tally_and_margins(self):
+        rng = random.Random(79)
+        for _ in range(40):
+            m = rng.randint(2, 5)
+            profile = RankedProfile(m, [
+                RankedBallot(rng.sample(range(m), m), rng.sample(range(m), rng.randint(0, m)),
+                             rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))
+            ])
+            for a in range(m):
+                tally, margin = axioms._clone_screen(profile, a)
+                ext = next(cloning_extensions(profile, a))
+                assert tally_values(tally) == tally_values(ext.tally())
+                assert (tally.denom, tally.total, tally.scores, tally.joint) == (
+                    ext.tally().denom, ext.tally().total, ext.tally().scores, ext.tally().joint)
+                for x, y in itertools.permutations(range(m + 1), 2):
+                    assert margin(x, y) == ext.majority_margin(x, y)
+
+
 class TestVerify:
     @pytest.mark.parametrize("violation", [
         lambda: find_monotonicity_violation(witnesses.MONOTONICITY_WITNESS,
@@ -552,9 +732,23 @@ class TestCheckAxiomEntryPoint:
         profile = witnesses.CLONE_TWO_BLOC_WITNESS
         out = check_axiom(profile, CCAV, WEAK_CLONE_PROOFNESS)
         assert out.status == "none" and out.searched == profile.m
-        # one base runoff, then one per cloning extension
-        assert calls.count(profile) == 1
-        assert len(calls) == 1 + profile.m
+        # each candidate is screened on the extension's tally, so a clean
+        # cell runs the base runoff and builds no extension
+        assert calls == [profile]
+
+    def test_violating_clone_cell_builds_one_extension(self, monkeypatch):
+        calls = []
+
+        def counted(profile, spec):
+            calls.append(profile)
+            return avr(profile, spec)
+
+        monkeypatch.setattr(axioms, "avr", counted)
+        profile = witnesses.CLONE_TWO_BLOC_WITNESS
+        out = check_axiom(profile, MAV, WEAK_CLONE_PROOFNESS)
+        assert out.status == "violation"
+        # the base runoff, then the witness's extension alone
+        assert calls == [profile, out.violation.transformed]
 
     def test_weak_clone_cell_checks_the_domain_once(self, monkeypatch):
         calls = []

@@ -83,6 +83,22 @@ def test_grid_script_prints_the_expected_table():
     }
 
 
+def test_election_grid_script_prints_every_cell_the_same_each_run():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "election_grid.py"
+    argv = [sys.executable, str(script), "--candidates", "6", "--groups", "40"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120) for _ in range(2)]
+    for result in runs:
+        assert result.returncode == 0, result.stdout + result.stderr
+    assert runs[0].stdout == runs[1].stdout
+    header, *cells = runs[0].stdout.splitlines()
+    assert header == "seed 5: 6 candidates, 40 groups"
+    assert [line.split()[:3] for line in cells] == [
+        [name, "/", axiom] for name, _ in GRID_RULES for axiom in GRID_AXIOMS]
+    assert {line.split()[3] for line in cells} <= {"none", "violation", "vacuous"}
+    times = runs[0].stderr.splitlines()
+    assert len(times) == len(cells) + 1 and times[-1].startswith("grid ")
+
+
 class TestJointCompatibility:
     """The four compatible pairs of properties, checked jointly per profile."""
 

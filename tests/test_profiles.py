@@ -14,7 +14,7 @@ from avrunoff.profiles import (
     RankedProfile,
 )
 from avrunoff.rules import MAV, evaluate
-from conftest import approval_profiles, ranked_profiles
+from conftest import approval_profiles, ranked_profiles, tally_values
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -230,6 +230,48 @@ class TestReplaceBallot:
             RankedBallot((1, 2, 0), {1, 2}, 1)])
         assert self.BASE.replace_ballot(1, new) == RankedProfile(3, [
             RankedBallot((0, 1, 2), {0}, 2), RankedBallot((1, 2, 0), {1, 2}, 1)])
+
+
+class TestMovedTally:
+    # weights 3, 1, 2 and 0; approval sizes 1 and 2, so split is over 2
+    BASE = RankedProfile(4, [
+        RankedBallot((0, 1, 2, 3), {0}, 3),
+        RankedBallot((1, 2, 0, 3), {1, 2}, 1),
+        RankedBallot((3, 2, 1, 0), set(), 2),
+        RankedBallot((2, 3, 1, 0), {2, 3}, 0),
+    ])
+
+    @pytest.mark.parametrize("index,approved,rescaled", [
+        (0, {1, 2}, False),
+        (0, set(), False),
+        (2, {3}, False),
+        (2, {0, 1}, False),
+        (1, set(), False),
+        (1, {1, 2}, False),
+        (1, {0, 1, 2}, True),
+        (0, {0, 1, 2, 3}, True),
+    ], ids=["group-of-3-to-a-pair", "to-empty", "from-empty", "from-empty-to-a-pair",
+            "last-voter-of-a-set-to-empty", "same-set", "new-size-3", "new-size-4"])
+    def test_moved_is_the_tally_of_the_replaced_ballot(self, index, approved, rescaled):
+        # split is rescaled only for a set size that does not divide its
+        # denominator; every other count is the replaced profile's exactly
+        old = self.BASE.ballots[index]
+        base = self.BASE.tally()
+        moved = base.moved(old.approved, frozenset(approved))
+        expected = self.BASE.replace_ballot(index, RankedBallot((3, 1, 0, 2), approved)).tally()
+        assert tally_values(moved) == tally_values(expected)
+        assert (moved.denom, moved.total, moved.scores, moved.joint) == (
+            expected.denom, expected.total, expected.scores, expected.joint)
+        assert (moved.split_denom != base.split_denom) is rescaled
+
+    @given(ranked_profiles(max_m=5, max_n=5), st.data())
+    def test_any_move_of_one_voter(self, profile, data):
+        i = data.draw(st.integers(0, len(profile.ballots) - 1))
+        new = frozenset(data.draw(st.sets(st.integers(0, profile.m - 1))))
+        ranking = data.draw(st.permutations(range(profile.m)))
+        moved = profile.tally().moved(profile.ballots[i].approved, new)
+        expected = profile.replace_ballot(i, RankedBallot(ranking, new)).tally()
+        assert tally_values(moved) == tally_values(expected)
 
 
 class TestSymmetries:
