@@ -1,17 +1,16 @@
 """The rule/axiom grid on one seeded election-sized profile.
 
-Draws a single-peaked profile: voters on [-1, 1] from a triangular density,
-candidates evenly spaced, each group ranking the candidates by distance and
-approving those closer than 0.4, with a weight from 1 to 9. Then runs
-`check_axiom` on every GRID_RULES x GRID_AXIOMS cell, as `avr axioms` does.
-The grid (status and `searched` per cell) goes to stdout, which is the same
-in every run; the time of each cell and the total go to stderr.
+Draws the single-peaked profile of `spatial.sample_profile` for PROFILE:
+300 voters from the triangular density on [-1, 1], 8 evenly spaced
+candidates, each voter ranking them by distance and approving those closer
+than 0.4. Then runs `check_axiom` on every GRID_RULES x GRID_AXIOMS cell,
+as `avr axioms` does. The grid (status and `searched` per cell) goes to
+stdout, which is the same in every run; the time of each cell and the total
+go to stderr.
 
-    python3 scripts/election_grid.py [--seed 5] [--candidates 8] [--groups 300]
+    python3 scripts/election_grid.py
 """
 
-import argparse
-import random
 import sys
 import time
 from pathlib import Path
@@ -19,32 +18,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from avrunoff import axioms  # noqa: E402
-from avrunoff.profiles import RankedBallot, RankedProfile  # noqa: E402
+from avrunoff import axioms, spatial  # noqa: E402
+from avrunoff.profiles import RankedProfile  # noqa: E402
 
-RADIUS = 0.4
-
-
-def single_peaked_profile(rng: random.Random, m: int, groups: int) -> RankedProfile:
-    pos = [-1 + 2 * i / (m - 1) for i in range(m)]
-    ballots = []
-    for _ in range(groups):
-        x = rng.triangular(-1, 1, 0)
-        ranking = sorted(range(m), key=lambda c: (abs(pos[c] - x), pos[c]))
-        t = sum(abs(p - x) < RADIUS for p in pos)
-        ballots.append(RankedBallot.from_threshold(ranking, t, rng.randint(1, 9)))
-    return RankedProfile(m, ballots)
+PROFILE = spatial.SpatialConfig(d=0.4, n_voters=300, n_candidates=8, seed=5)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--candidates", type=int, default=8)
-    parser.add_argument("--groups", type=int, default=300)
-    args = parser.parse_args()
-
-    profile = single_peaked_profile(random.Random(args.seed), args.candidates, args.groups)
-    print(f"seed {args.seed}: {args.candidates} candidates, {args.groups} groups")
+def run_grid(profile: RankedProfile) -> None:
     start = time.perf_counter()
     for name, spec in axioms.GRID_RULES:
         for axiom in axioms.GRID_AXIOMS:
@@ -53,6 +33,11 @@ def main() -> int:
             print(f"{name:>7} / {axiom:<22} {out.status:<10} searched {out.searched}")
             print(f"{name:>7} / {axiom:<22} {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     print(f"grid {time.perf_counter() - start:.2f}s", file=sys.stderr)
+
+
+def main() -> int:
+    print(f"seed {PROFILE.seed}: {PROFILE.n_candidates} candidates, {PROFILE.n_voters} voters")
+    run_grid(spatial.sample_profile(PROFILE))
     return 0
 
 

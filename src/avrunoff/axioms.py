@@ -21,9 +21,11 @@ preference matrix, and builds no profile: one voter moved from approval
 set A to S is `Tally.moved(A, S)`, whose finalist pairs are cached on the
 profile per (rule, A, S) and shared by every voter with true approvals A,
 both manipulation modes and the monotonicity search; its margins are the
-base margins with one ranking swapped for another. A cloning's tally and
-margins are read off the original's. Only a screen's hit reaches the
-judge, which builds the transformed profile and the `Violation`.
+base margins with one ranking swapped for another. A cloning's tally is
+counted from the profile's approval sets, the clone approved where its
+original is, and its margins are read off the original's. Only a screen's
+hit reaches the judge, which builds the transformed profile and the
+`Violation`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
     Tally,
+    majority_outcome,
 )
 from avrunoff.rules import CandidatePair, RuleSpec, evaluate, tally_outcome
 from avrunoff.runoff import avr
@@ -278,14 +281,7 @@ def _moved_winners(profile: RankedProfile, spec: RuleSpec, voter: int,
 def _runoff_winners(pairs, margin) -> frozenset[int]:
     """The winners `avr` finds on the finalist `pairs`, given the majority
     margin(x, y) of each."""
-    won = set()
-    for x, y in pairs:
-        d = margin(x, y)
-        if d >= 0:
-            won.add(x)
-        if d <= 0:
-            won.add(y)
-    return frozenset(won)
+    return frozenset().union(*(majority_outcome(x, y, margin(x, y)) for x, y in pairs))
 
 
 def _vote(ballot: RankedBallot, x: int, y: int) -> int:
@@ -555,33 +551,23 @@ def find_clone_violation(
 def _clone_screen(profile: RankedProfile, a: int) -> tuple[Tally, Callable[[int, int], int]]:
     """The tally and the majority margin(x, y) of
     `next(cloning_extensions(profile, a))`, the clone (id m) just below `a`
-    on every ballot, without building it.
-
-    The clone's scores and joint approvals copy a's row; in `split` each
-    approval set that contains `a` is one larger. margin(x, clone) =
-    margin(x, a) for every other x, and `a` beats the clone by the total
-    weight.
+    on every ballot, without building it: the clone is approved where `a`
+    is, margin(x, clone) = margin(x, a) for every other x, and `a` beats
+    the clone by the total weight.
     """
-    m, tally = profile.m, profile.tally()
+    m = profile.m
     prefs, _ = profile._preferences()
     ints, denom = profile._int_weights()
-    approvals = [b.approved | {m} if a in b.approved else b.approved for b in profile.ballots]
-    sizes = math.lcm(*(len(s) for s in approvals if s))
-    split = [0] * (m + 1)
-    for approved, w in zip(approvals, ints):
-        for x in approved:
-            split[x] += w * (sizes // len(approved))
-    joint = tuple(row + (row[a],) for row in tally.joint) + (tally.joint[a] + (tally.scores[a],),)
-    cloned = Tally(denom, tally.total, tally.scores + (tally.scores[a],), joint,
-                   tuple(split), denom * sizes)
+    approvals = (b.approved | {m} if a in b.approved else b.approved for b in profile.ballots)
+    total = profile.tally().total
 
     def margin(x: int, y: int) -> int:
         if {x, y} == {a, m}:
-            return tally.total if x == a else -tally.total
+            return total if x == a else -total
         x, y = (a if x == m else x), (a if y == m else y)
         return prefs[x][y] - prefs[y][x]
 
-    return cloned, margin
+    return Tally.of(m + 1, zip(approvals, ints), denom), margin
 
 
 def cloning_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],

@@ -153,6 +153,28 @@ class Tally(NamedTuple):
         best = max(self.scores)
         return frozenset(c for c, s in enumerate(self.scores) if s == best)
 
+    @classmethod
+    def of(cls, m: int, groups: Iterable[tuple[frozenset[int], int]], denom: int) -> "Tally":
+        """The tally of m candidates from (approval set, integer weight over
+        `denom`) groups, merged by approval set first."""
+        merged: dict = {}
+        for approved, w in groups:
+            merged[approved] = merged.get(approved, 0) + w
+        joint = [[0] * m for _ in range(m)]
+        split = [0] * m
+        sizes = math.lcm(*(len(a) for a in merged if a))
+        for approved, w in merged.items():
+            if not (w and approved):
+                continue
+            share = w * (sizes // len(approved))
+            for x in approved:
+                row = joint[x]
+                for y in approved:
+                    row[y] += w
+                split[x] += share
+        return cls(denom, sum(merged.values()), tuple(joint[c][c] for c in range(m)),
+                   tuple(map(tuple, joint)), tuple(split), denom * sizes)
+
     def moved(self, old: frozenset[int], new: frozenset[int]) -> "Tally":
         """The tally with one voter (weight 1) moved from approving `old` to
         approving `new`, in O(m²). `split` is rescaled only when a set's size
@@ -172,6 +194,16 @@ class Tally(NamedTuple):
         joint = tuple(tuple(rows[x]) if x in rows else r for x, r in enumerate(self.joint))
         return Tally(self.denom, self.total, tuple(scores), joint, tuple(split),
                      self.split_denom * scale)
+
+
+def majority_outcome(a: int, b: int, margin) -> frozenset[int]:
+    """The winners of the majority contest of a and b, given the margin of
+    a over b: {a}, {b}, or {a, b} on an exact tie."""
+    if margin > 0:
+        return frozenset({a})
+    if margin < 0:
+        return frozenset({b})
+    return frozenset({a, b})
 
 
 def _check_ballot(i: int, b, full: frozenset[int]) -> None:
@@ -219,33 +251,11 @@ class _Profile:
 
     def tally(self) -> Tally:
         """The approval statistics of the profile (cached): one pass over
-        the ballot groups, merged by approval set first."""
+        the ballot groups."""
         cached = self.__dict__.get("_tally")
         if cached is None:
             ints, denom = self._int_weights()
-            merged: dict = {}
-            for b, w in zip(self.ballots, ints):
-                merged[b.approved] = merged.get(b.approved, 0) + w
-            joint = [[0] * self.m for _ in range(self.m)]
-            split = [0] * self.m
-            sizes = math.lcm(*(len(a) for a in merged if a))
-            for approved, w in merged.items():
-                if not (w and approved):
-                    continue
-                share = w * (sizes // len(approved))
-                for x in approved:
-                    row = joint[x]
-                    for y in approved:
-                        row[y] += w
-                    split[x] += share
-            cached = Tally(
-                denom,
-                sum(merged.values()),
-                tuple(joint[c][c] for c in range(self.m)),
-                tuple(map(tuple, joint)),
-                tuple(split),
-                denom * sizes,
-            )
+            cached = Tally.of(self.m, zip((b.approved for b in self.ballots), ints), denom)
             self.__dict__["_tally"] = cached
         return cached
 
@@ -371,12 +381,7 @@ class RankedProfile(_Profile):
 
     def majority_winners(self, a: int, b: int) -> frozenset[int]:
         """{a}, {b}, or {a, b} on an exact tie."""
-        margin = self._margin(a, b)
-        if margin > 0:
-            return frozenset({a})
-        if margin < 0:
-            return frozenset({b})
-        return frozenset({a, b})
+        return majority_outcome(a, b, self._margin(a, b))
 
     def dominates(self, a: int, b: int) -> bool:
         """a beats b on every positive-weight ballot and is approved over b somewhere.

@@ -3,6 +3,8 @@ exhaustive transformation search; every other cell exhibits a verified
 counterexample. Joint compatibility spot-checks run the compatible rule
 pairs on shared profile batches."""
 
+import dataclasses
+import importlib.util
 import random
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from avrunoff import axioms, witnesses
+from avrunoff import axioms, spatial, witnesses
 from avrunoff.axioms import (
     GRID_AXIOMS,
     GRID_EXPECTED,
@@ -83,19 +85,23 @@ def test_grid_script_prints_the_expected_table():
     }
 
 
-def test_election_grid_script_prints_every_cell_the_same_each_run():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "election_grid.py"
-    argv = [sys.executable, str(script), "--candidates", "6", "--groups", "40"]
-    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120) for _ in range(2)]
-    for result in runs:
-        assert result.returncode == 0, result.stdout + result.stderr
-    assert runs[0].stdout == runs[1].stdout
-    header, *cells = runs[0].stdout.splitlines()
-    assert header == "seed 5: 6 candidates, 40 groups"
+def test_election_grid_script_prints_every_cell_the_same_each_run(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "election_grid.py"
+    loader = importlib.util.spec_from_file_location("election_grid", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    # the script's profile, smaller
+    config = dataclasses.replace(script.PROFILE, n_voters=40, n_candidates=6)
+    runs = []
+    for _ in range(2):
+        script.run_grid(spatial.sample_profile(config))
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    cells = runs[0].out.splitlines()
     assert [line.split()[:3] for line in cells] == [
         [name, "/", axiom] for name, _ in GRID_RULES for axiom in GRID_AXIOMS]
     assert {line.split()[3] for line in cells} <= {"none", "violation", "vacuous"}
-    times = runs[0].stderr.splitlines()
+    times = runs[0].err.splitlines()
     assert len(times) == len(cells) + 1 and times[-1].startswith("grid ")
 
 
