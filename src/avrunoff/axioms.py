@@ -26,6 +26,15 @@ counted from the profile's approval sets, the clone approved where its
 original is, and its margins are read off the original's. Only a screen's
 hit reaches the judge, which builds the transformed profile and the
 `Violation`.
+
+The cells of a grid share their work on a profile, which keeps what is
+derived from it (`_Profile._derived`) for as long as it lives, keyed by
+what the value depends on: the tally, integer weights and preferences;
+the runoff per rule (`avr`), so each cell's base runoff runs once per
+(profile, rule); the moved tally per (A, S) and its finalist pairs per
+(rule, A, S); the clone screen per candidate; the dominance relation per
+pair of candidates; and the weak clone domain. Nothing outside the
+profile holds a cache of it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
     Tally,
+    _unit_ballot,
     majority_outcome,
 )
 from avrunoff.rules import CandidatePair, RuleSpec, evaluate, tally_outcome
@@ -172,22 +182,18 @@ def a_improvements(profile: RankedProfile, a: int) -> Iterator[tuple[int, Ranked
             t = b.threshold
             if a in b.approved:
                 for j in range(pos):
-                    yield i, RankedBallot(_move(b.ranking, pos, j), b.approved, 1)
+                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
             else:
                 for j in range(t, pos):
-                    yield i, RankedBallot(_move(b.ranking, pos, j), b.approved, 1)
+                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
                 for j in range(t + 1):
-                    yield i, RankedBallot(
-                        _move(b.ranking, pos, j), b.approved | {a}, 1
-                    )
+                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved | {a})
         else:
             for j in range(pos):
-                yield i, RankedBallot(_move(b.ranking, pos, j), b.approved, 1)
+                yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
             if a not in b.approved:
                 for j in range(pos + 1):
-                    yield i, RankedBallot(
-                        _move(b.ranking, pos, j), b.approved | {a}, 1
-                    )
+                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved | {a})
 
 
 def i_deviations(profile: RankedProfile, i: int) -> Iterator[RankedBallot]:
@@ -257,13 +263,13 @@ def _moved_pairs(profile: RankedProfile, spec: RuleSpec, old: frozenset[int],
     `old` to approving `new`, evaluated on the moved tally. They are cached
     on the profile by (spec, old, new), so the voters that share a true
     approval set, both manipulation modes and the monotonicity search share
-    each evaluation."""
-    cache = profile.__dict__.setdefault("_moved_pairs", {})
-    pairs = cache.get((spec, old, new))
-    if pairs is None:
-        pairs = tally_outcome(profile.tally().moved(old, new), spec).pairs
-        cache[spec, old, new] = pairs
-    return pairs
+    each evaluation; the moved tally is cached by (old, new), so every rule
+    shares it."""
+    def pairs():
+        moved = profile._derived(("moved", old, new), lambda: profile.tally().moved(old, new))
+        return tally_outcome(moved, spec).pairs
+
+    return profile._derived(("pairs", spec, old, new), pairs)
 
 
 def _moved_winners(profile: RankedProfile, spec: RuleSpec, voter: int,
@@ -495,13 +501,14 @@ def clone_conditions_hold(before, after, a, clone) -> bool:
 
 
 def in_weak_clone_domain(profile: RankedProfile) -> bool:
-    """No candidate is approved on every non-empty positive-weight ballot."""
-    live = [b for b in profile.ballots if b.weight > 0 and b.approved]
-    if not live:
-        return False
-    return all(
-        any(c not in b.approved for b in live) for c in range(profile.m)
-    )
+    """No candidate is approved on every non-empty positive-weight ballot
+    (cached on the profile)."""
+    def compute() -> bool:
+        live = [b for b in profile.ballots if b.weight > 0 and b.approved]
+        return bool(live) and all(
+            any(c not in b.approved for b in live) for c in range(profile.m))
+
+    return profile._derived("weak clone domain", compute)
 
 
 def find_clone_violation(
@@ -553,12 +560,11 @@ def _clone_screen(profile: RankedProfile, a: int) -> tuple[Tally, Callable[[int,
     `next(cloning_extensions(profile, a))`, the clone (id m) just below `a`
     on every ballot, without building it: the clone is approved where `a`
     is, margin(x, clone) = margin(x, a) for every other x, and `a` beats
-    the clone by the total weight.
+    the clone by the total weight. Cached on the profile per `a`, so every
+    rule shares it.
     """
     m = profile.m
     prefs, _ = profile._preferences()
-    ints, denom = profile._int_weights()
-    approvals = (b.approved | {m} if a in b.approved else b.approved for b in profile.ballots)
     total = profile.tally().total
 
     def margin(x: int, y: int) -> int:
@@ -567,7 +573,13 @@ def _clone_screen(profile: RankedProfile, a: int) -> tuple[Tally, Callable[[int,
         x, y = (a if x == m else x), (a if y == m else y)
         return prefs[x][y] - prefs[y][x]
 
-    return Tally.of(m + 1, zip(approvals, ints), denom), margin
+    def tally() -> Tally:
+        ints, denom = profile._int_weights()
+        approvals = (b.approved | {m} if a in b.approved else b.approved
+                     for b in profile.ballots)
+        return Tally.of(m + 1, zip(approvals, ints), denom)
+
+    return profile._derived(("clone", a), lambda: (tally(), margin))
 
 
 def cloning_violation(profile: RankedProfile, spec: RuleSpec, winners_before: frozenset[int],

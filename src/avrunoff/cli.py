@@ -16,7 +16,6 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from avrunoff import axioms as axioms_mod
 from avrunoff import fileio, rules
 from avrunoff.profiles import InputError, RankedProfile, exact
 from avrunoff.rules import CandidatePair, RuleSpec
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("axioms", cmd_axioms, "axiom grid for a profile")
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", default=None, help="restrict to one rule")
-    p.add_argument("--axiom", default=None, choices=(None,) + axioms_mod.GRID_AXIOMS)
+    # checked by cmd_axioms, so that only `axioms` imports avrunoff.axioms
+    p.add_argument("--axiom", default=None, help="restrict to one axiom of the grid")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("network", cmd_network, "candidate affinity network (ballot overlap)")
@@ -295,15 +295,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from avrunoff import axioms
+
+    if args.axiom not in (None, *axioms.GRID_AXIOMS):
+        raise InputError(f"unknown axiom {args.axiom!r}; choose from "
+                         + ", ".join(axioms.GRID_AXIOMS))
     profile = _load_document(args.profile).profile
     if not isinstance(profile, RankedProfile):
         raise InputError("axiom checks need ranked ballots")
-    rule_items = axioms_mod.GRID_RULES
+    rule_items = axioms.GRID_RULES
     if args.rule:
         rule_items = ((args.rule, RuleSpec.named(args.rule)),)
-    axiom_names = axioms_mod.GRID_AXIOMS if not args.axiom else (args.axiom,)
+    axiom_names = axioms.GRID_AXIOMS if not args.axiom else (args.axiom,)
     cells = {
-        (name, axiom): axioms_mod.check_axiom(profile, spec, axiom)
+        (name, axiom): axioms.check_axiom(profile, spec, axiom)
         for name, spec in rule_items
         for axiom in axiom_names
     }

@@ -14,7 +14,7 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 
 class InputError(ValueError):
@@ -114,6 +114,15 @@ class RankedBallot:
     def is_consistent(self) -> bool:
         """True if the approved set is exactly the top-|approved| prefix."""
         return self.approved == frozenset(self.ranking[: len(self.approved)])
+
+
+_ONE = Fraction(1)
+
+
+def _unit_ballot(ranking: tuple[int, ...], approved: frozenset[int]) -> RankedBallot:
+    """One voter's ballot, from a ranking tuple and an approved frozenset
+    that are already known to fit the profile: no weight to check."""
+    return _trusted(RankedBallot, ranking=ranking, approved=approved, weight=_ONE)
 
 
 def _check_labels(m: int, labels) -> tuple[str, ...]:
@@ -240,24 +249,34 @@ class _Profile:
         if not (isinstance(c, int) and 0 <= c < self.m):
             raise InputError(f"unknown candidate id {c!r} (m={self.m})")
 
+    def _derived(self, key, compute: Callable[[], object]):
+        """The value `compute()` derives from this profile, computed once per
+        `key` and kept on the profile, so it lives exactly as long as the
+        profile does. Every cache of derived work (the tally, the
+        preferences, runoffs, moved tallies, screens) is one entry here."""
+        try:
+            return self.__dict__["_cache"][key]
+        except KeyError:
+            pass
+        value = self.__dict__.setdefault("_cache", {})[key] = compute()
+        return value
+
     def _int_weights(self) -> tuple[list[int], int]:
         """The group weights as integers over their least common
         denominator (cached): what the tally and the preferences count."""
-        if "_ints" not in self.__dict__:
+        def compute():
             denom = math.lcm(*(b.weight.denominator for b in self.ballots))
-            ints = [b.weight.numerator * (denom // b.weight.denominator) for b in self.ballots]
-            self.__dict__["_ints"] = (ints, denom)
-        return self.__dict__["_ints"]
+            return [b.weight.numerator * (denom // b.weight.denominator)
+                    for b in self.ballots], denom
+        return self._derived("ints", compute)
 
     def tally(self) -> Tally:
         """The approval statistics of the profile (cached): one pass over
         the ballot groups."""
-        cached = self.__dict__.get("_tally")
-        if cached is None:
+        def compute():
             ints, denom = self._int_weights()
-            cached = Tally.of(self.m, zip((b.approved for b in self.ballots), ints), denom)
-            self.__dict__["_tally"] = cached
-        return cached
+            return Tally.of(self.m, zip((b.approved for b in self.ballots), ints), denom)
+        return self._derived("tally", compute)
 
     def with_weights(self, weights: Iterable):
         """The same ballot groups, in order, with new weights."""
@@ -351,8 +370,7 @@ class RankedProfile(_Profile):
         """prefs[a][b], the weight of the ballots ranking a above b, as
         integers over the common denominator (cached): one pass over the
         ballot groups, merged by ranking first."""
-        cached = self.__dict__.get("_prefs")
-        if cached is None:
+        def compute():
             ints, denom = self._int_weights()
             merged: dict = {}
             for b, w in zip(self.ballots, ints):
@@ -363,9 +381,8 @@ class RankedProfile(_Profile):
                     row = prefs[x]
                     for y in ranking[i + 1:]:
                         row[y] += w
-            cached = (prefs, denom)
-            self.__dict__["_prefs"] = cached
-        return cached
+            return prefs, denom
+        return self._derived("prefs", compute)
 
     def _margin(self, a: int, b: int) -> int:
         self._require_candidate(a)
@@ -387,16 +404,20 @@ class RankedProfile(_Profile):
         """a beats b on every positive-weight ballot and is approved over b somewhere.
 
         Condition (1): every voter ranks a above b. Condition (2): some
-        voter approves a but not b.
+        voter approves a but not b. Cached per (a, b).
         """
         self._require_candidate(a)
         self._require_candidate(b)
         if a == b:
             raise InputError("domination needs two distinct candidates")
-        live = [bal for bal in self.ballots if bal.weight > 0]
-        if not all(bal.prefers(a, b) for bal in live):
-            return False
-        return any(a in bal.approved and b not in bal.approved for bal in live)
+
+        def compute() -> bool:
+            live = [bal for bal in self.ballots if bal.weight > 0]
+            if not all(bal.prefers(a, b) for bal in live):
+                return False
+            return any(a in bal.approved and b not in bal.approved for bal in live)
+
+        return self._derived(("dominates", a, b), compute)
 
     def condorcet_loser(self) -> Optional[int]:
         """The candidate losing every pairwise majority strictly, if any."""
@@ -418,8 +439,7 @@ class RankedProfile(_Profile):
             raise InputError("single-voter deviation needs integer group weights")
         _check_ballot(index if old.weight == 1 else len(self.ballots), new,
                       frozenset(range(self.m)))
-        unit = _trusted(RankedBallot, ranking=new.ranking, approved=new.approved,
-                        weight=Fraction(1))
+        unit = _unit_ballot(new.ranking, new.approved)
         ballots = list(self.ballots)
         if old.weight == 1:
             ballots[index] = unit

@@ -10,16 +10,21 @@ an approval winner and optimize the second seat only.
 A rule is a function of a profile's `Tally` (`evaluate` runs it on a
 profile, approval or ranked, of at least two candidates, and
 `tally_outcome` on a tally no profile was built for): it compares
-integers, cross-multiplied by a parameter's denominator, and builds
-Fractions only for the outcome.
+integers, cross-multiplied by a parameter's denominator, and keeps its
+score table as integers: the Fractions are built only when the table is
+read, so a search that reads only the pairs builds none.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Literal, Mapping, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Literal, NamedTuple, Optional, Union
 
 from avrunoff.profiles import InputError, Profile, Tally, exact
 
@@ -79,6 +84,9 @@ class RuleSpec:
     A kind with parameters (see RULES) takes exactly one of them; for the
     quota rule that is `quota` (absolute) or `beta` (fraction of the total
     ballot weight).
+
+    A spec is checked and hashed once, when it is built: the caches of
+    derived work key on it.
     """
 
     kind: str
@@ -97,6 +105,16 @@ class RuleSpec:
         if params:
             param, value = _one_of(params, [getattr(self, p.field) for p in params])
             object.__setattr__(self, param.field, value)
+        # the rule function's arguments after the tally, in its parameters' order
+        object.__setattr__(self, "_args", tuple(getattr(self, p.field) for p in params))
+        object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.quota, self.beta)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs between processes
+        return RuleSpec, (self.kind, self.alpha, self.quota, self.beta)
 
     @classmethod
     def named(cls, name: str, quota_beta=None) -> "RuleSpec":
@@ -132,6 +150,38 @@ class RuleSpec:
 Score = Union[Fraction, tuple[Fraction, Fraction]]
 
 
+class ScoreTable(Mapping):
+    """A read-only table of exact scores, kept as integers until it is read.
+
+    It is built from (scores, denominator) parts, each score an integer or
+    a tuple of integers over its part's denominator; a key of a later part
+    replaces the same key of an earlier one. The first read builds the
+    Fractions of every score.
+    """
+
+    def __init__(self, *parts: tuple[Mapping, int]):
+        self._parts, self._table = parts, None
+
+    def _read(self) -> dict:
+        if self._table is None:
+            self._table = {key: Fraction(v, d) if isinstance(v, int)
+                           else tuple(Fraction(x, d) for x in v)
+                           for scores, d in self._parts for key, v in scores.items()}
+        return self._table
+
+    def __getitem__(self, key):
+        return self._read()[key]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self) -> int:
+        return len(self._read())
+
+    def __repr__(self) -> str:
+        return repr(self._read())
+
+
 @dataclass(frozen=True)
 class RuleOutcome:
     """Optimal pairs plus the exact score of every scored pair.
@@ -139,7 +189,9 @@ class RuleOutcome:
     For joint rules the table covers all C(m, 2) pairs and `pairs` is its
     argmax (argmin for the load-minimizing rule). For sequential rules the
     table covers the (first finalist, other) pairs of every first-stage
-    branch, and `pairs` is the union of per-branch optima.
+    branch, and `pairs` is the union of per-branch optima. The rules return
+    read-only mappings (a `ScoreTable`, whose Fractions are built when it is
+    read), since one outcome may serve many callers.
     """
 
     pairs: tuple[CandidatePair, ...]
@@ -164,8 +216,16 @@ def _argbest(table: Mapping[CandidatePair, object], sense: str) -> tuple[Candida
     return tuple(sorted(p for p, s in table.items() if s == extreme))
 
 
-def all_pairs(m: int) -> list[CandidatePair]:
-    return [CandidatePair(a, b) for a, b in combinations(range(m), 2)]
+@functools.lru_cache(maxsize=32)
+def all_pairs(m: int) -> tuple[CandidatePair, ...]:
+    """The C(m, 2) pairs in lexicographic order (cached per m)."""
+    return tuple(CandidatePair(a, b) for a, b in combinations(range(m), 2))
+
+
+@functools.lru_cache(maxsize=256)
+def _pairs_with(m: int, x1: int) -> tuple[CandidatePair, ...]:
+    """The pairs of x1 with each other of m candidates (cached)."""
+    return tuple(CandidatePair.of(x1, y) for y in range(m) if y != x1)
 
 
 def _discounted(tally: Tally, pairs, alpha: Fraction) -> dict[CandidatePair, int]:
@@ -176,17 +236,24 @@ def _discounted(tally: Tally, pairs, alpha: Fraction) -> dict[CandidatePair, int
     return {pair: q * (S[pair.lo] + S[pair.hi]) - p * J[pair.lo][pair.hi] for pair in pairs}
 
 
-def _fractions(table: Mapping[CandidatePair, int], denom: int) -> dict[CandidatePair, Fraction]:
-    return {pair: Fraction(v, denom) for pair, v in table.items()}
+def _zeros(pairs: tuple[CandidatePair, ...]) -> ScoreTable:
+    return ScoreTable((dict.fromkeys(pairs, 0), 1))
+
+
+# The rule functions come in two kinds: the public ones check their
+# parameters, and the ones `tally_outcome` runs (named with a leading
+# underscore where the two differ) take the values a RuleSpec checked.
 
 
 def alpha_av(tally: Tally, alpha) -> RuleOutcome:
     """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
-    alpha = ALPHA.check(alpha)
+    return _alpha_av(tally, ALPHA.check(alpha))
+
+
+def _alpha_av(tally: Tally, alpha: Fraction) -> RuleOutcome:
     table = _discounted(tally, all_pairs(tally.m), alpha)
-    return RuleOutcome(
-        _argbest(table, "max"), _fractions(table, alpha.denominator * tally.denom)
-    )
+    return RuleOutcome(_argbest(table, "max"),
+                       ScoreTable((table, alpha.denominator * tally.denom)))
 
 
 def alpha_seq_av(tally: Tally, alpha) -> RuleOutcome:
@@ -195,7 +262,10 @@ def alpha_seq_av(tally: Tally, alpha) -> RuleOutcome:
     All first-stage ties are expanded as branches and the per-branch optima
     unioned. Table entries carry the full pair score S(x1) + S(y) - alpha*S(x1,y).
     """
-    alpha = SEQ_ALPHA.check(alpha)
+    return _alpha_seq_av(tally, SEQ_ALPHA.check(alpha))
+
+
+def _alpha_seq_av(tally: Tally, alpha: Fraction) -> RuleOutcome:
     return _seq_alpha_outcome(tally, lambda x1: alpha)
 
 
@@ -203,19 +273,17 @@ def _seq_alpha_outcome(tally: Tally, alpha_of: Callable[[int], Fraction]) -> Rul
     """One branch per approval winner x1, discounting by alpha_of(x1)."""
     winners = tuple(sorted(tally.approval_winners()))
     alphas = {x1: alpha_of(x1) for x1 in winners}
-    table: dict[CandidatePair, Fraction] = {}
+    parts = []
     best: set[CandidatePair] = set()
     for x1, alpha in alphas.items():
-        branch = _discounted(
-            tally, [CandidatePair.of(x1, y) for y in range(tally.m) if y != x1], alpha
-        )
-        table.update(_fractions(branch, alpha.denominator * tally.denom))
+        branch = _discounted(tally, _pairs_with(tally.m, x1), alpha)
+        parts.append((branch, alpha.denominator * tally.denom))
         best.update(_argbest(branch, "max"))
     return RuleOutcome(
         tuple(sorted(best)),
-        table,
+        ScoreTable(*parts),
         first_stage=winners,
-        branch_alphas=alphas,
+        branch_alphas=MappingProxyType(alphas),
     )
 
 
@@ -226,8 +294,13 @@ def enestrom_phragmen(tally: Tally, quota=None, beta=None) -> RuleOutcome:
     A zero-score first finalist (all-empty profile) uses discount 1.
     """
     param, value = _one_of((QUOTA, BETA), (quota, beta))
+    return _enestrom_phragmen(tally, **{param.field: value})
+
+
+def _enestrom_phragmen(tally: Tally, quota: Optional[Fraction] = None,
+                       beta: Optional[Fraction] = None) -> RuleOutcome:
     n = Fraction(tally.total, tally.denom)
-    q = value * n if param is BETA else value
+    q = quota if beta is None else beta * n
     if not 0 <= q <= n:
         raise InputError(f"quota {q} outside [0, {n}]")
     return _seq_alpha_outcome(tally, lambda x1: (
@@ -245,25 +318,25 @@ def seq_phragmen(tally: Tally) -> RuleOutcome:
     S, J = tally.scores, tally.joint
     winners = tuple(sorted(tally.approval_winners()))
     if not any(S):
-        pairs = tuple(all_pairs(tally.m))
-        return RuleOutcome(pairs, {p: Fraction(0) for p in pairs},
-                           objective_sense="min", first_stage=winners)
-    table: dict[CandidatePair, Fraction] = {}
+        pairs = all_pairs(tally.m)
+        return RuleOutcome(pairs, _zeros(pairs), objective_sense="min", first_stage=winners)
+    parts = []
     best: set[CandidatePair] = set()
     for x1 in winners:
-        # the load is a ratio of tallies, (S(x1) + S(x1,y)) * denom / (S(x1) * S(y))
-        branch = {
-            CandidatePair.of(x1, y): Fraction((S[x1] + J[x1][y]) * tally.denom, S[x1] * S[y])
-            for y in range(tally.m)
-            if y != x1 and S[y]
-        }
-        if branch:
-            table.update(branch)
+        others = [y for y in range(tally.m) if y != x1 and S[y]]
+        if others:
+            # the load is a ratio of tallies, (S(x1) + S(x1,y)) * denom / (S(x1) * S(y)):
+            # over the branch's denominator S(x1) * lcm of the S(y), an integer
+            lcm = math.lcm(*(S[y] for y in others))
+            branch = {CandidatePair.of(x1, y): (S[x1] + J[x1][y]) * tally.denom * (lcm // S[y])
+                      for y in others}
+            parts.append((branch, S[x1] * lcm))
             best.update(_argbest(branch, "min"))
         else:
             # every other candidate scores zero: keep all pairs with x1
-            best.update(CandidatePair.of(x1, y) for y in range(tally.m) if y != x1)
-    return RuleOutcome(tuple(sorted(best)), table, objective_sense="min", first_stage=winners)
+            best.update(_pairs_with(tally.m, x1))
+    return RuleOutcome(tuple(sorted(best)), ScoreTable(*parts), objective_sense="min",
+                       first_stage=winners)
 
 
 def sav(tally: Tally) -> RuleOutcome:
@@ -274,15 +347,15 @@ def sav(tally: Tally) -> RuleOutcome:
     table = {p: split[p.lo] + split[p.hi] for p in all_pairs(tally.m)}
     return RuleOutcome(
         _argbest(table, "max"),
-        _fractions(table, tally.split_denom),
-        candidate_scores={c: Fraction(s, tally.split_denom) for c, s in enumerate(split)},
+        ScoreTable((table, tally.split_denom)),
+        candidate_scores=ScoreTable((dict(enumerate(split)), tally.split_denom)),
     )
 
 
 def triv(tally: Tally) -> RuleOutcome:
     """All pairs, regardless of the ballots."""
-    pairs = tuple(all_pairs(tally.m))
-    return RuleOutcome(pairs, {p: Fraction(0) for p in pairs})
+    pairs = all_pairs(tally.m)
+    return RuleOutcome(pairs, _zeros(pairs))
 
 
 def ccav_plus(tally: Tally) -> RuleOutcome:
@@ -296,10 +369,7 @@ def ccav_plus(tally: Tally) -> RuleOutcome:
     for p in all_pairs(tally.m):
         msum = S[p.lo] + S[p.hi]
         table[p] = (msum - J[p.lo][p.hi], msum)
-    return RuleOutcome(
-        _argbest(table, "max"),
-        {p: (Fraction(c, tally.denom), Fraction(s, tally.denom)) for p, (c, s) in table.items()},
-    )
+    return RuleOutcome(_argbest(table, "max"), ScoreTable((table, tally.denom)))
 
 
 def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
@@ -311,14 +381,14 @@ def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
 
 def tally_outcome(tally: Tally, spec: RuleSpec) -> RuleOutcome:
     """Run the rule of `spec` on `tally`, which the caller knows has at
-    least two candidates: the entry for tallies no profile was built for."""
-    rule = _KINDS[spec.kind]
-    return rule.fn(tally, **{p.field: getattr(spec, p.field) for p in rule.params})
+    least two candidates: the entry for tallies no profile was built for.
+    The parameters are the ones `spec` checked when it was built."""
+    return _KINDS[spec.kind].fn(tally, *spec._args)
 
 
 class Rule(NamedTuple):
     """One row of RULES: a named rule, the kind of RuleSpec it is and the
-    function that runs it."""
+    function that runs it on a tally and the checked parameter values."""
 
     name: str
     aliases: tuple[str, ...]
@@ -334,14 +404,14 @@ class Rule(NamedTuple):
 # rule is one row. The beta of a rule with one is set by `--quota-beta`, so
 # such a rule is shown with its beta.
 RULES: tuple[Rule, ...] = (
-    Rule("mav", ("av",), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(0)}),
-    Rule("pav", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(1, 2)}),
-    Rule("ccav", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(1)}),
-    Rule("2av", (), "alpha-av", alpha_av, (ALPHA,), {"alpha": Fraction(2)}),
-    Rule("spav", (), "alpha-seq", alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1, 2)}),
-    Rule("sccav", (), "alpha-seq", alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1)}),
+    Rule("mav", ("av",), "alpha-av", _alpha_av, (ALPHA,), {"alpha": Fraction(0)}),
+    Rule("pav", (), "alpha-av", _alpha_av, (ALPHA,), {"alpha": Fraction(1, 2)}),
+    Rule("ccav", (), "alpha-av", _alpha_av, (ALPHA,), {"alpha": Fraction(1)}),
+    Rule("2av", (), "alpha-av", _alpha_av, (ALPHA,), {"alpha": Fraction(2)}),
+    Rule("spav", (), "alpha-seq", _alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1, 2)}),
+    Rule("sccav", (), "alpha-seq", _alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1)}),
     Rule("sphr", (), "seq-phragmen", seq_phragmen),
-    Rule("enephr", (), "enestrom-phragmen", enestrom_phragmen, (QUOTA, BETA),
+    Rule("enephr", (), "enestrom-phragmen", _enestrom_phragmen, (QUOTA, BETA),
          {"beta": Fraction(1, 3)}),
     Rule("sav", (), "sav", sav),
     Rule("triv", (), "triv", triv),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from avrunoff.profiles import InputError, RankedProfile
@@ -14,6 +15,8 @@ class RunoffResult:
     """Majority outcome of every finalist pair, winners unioned.
 
     A tied pair contributes both of its members; no tie-break is invented.
+    Its mappings are read-only: one result serves every caller that runs
+    the same rule on the same profile.
     """
 
     winners: frozenset[int]
@@ -25,15 +28,20 @@ def avr(profile: RankedProfile, spec: RuleSpec) -> RunoffResult:
     """Run `spec` on the approvals, then majority-vote each pair.
 
     Rankings are required; prefix consistency of the ballots is not (the
-    axiom searches feed deviations that may break it).
+    axiom searches feed deviations that may break it). The result is
+    cached on the profile per spec.
     """
     if not isinstance(profile, RankedProfile):
         raise InputError("runoff needs ranked ballots; approval-only profiles "
                          "cannot be majority-voted")
-    outcome = evaluate(profile, spec)
-    per_pair = {p: profile.majority_winners(p.lo, p.hi) for p in outcome.pairs}
-    winners = frozenset(c for ws in per_pair.values() for c in ws)
-    return RunoffResult(winners, outcome, per_pair)
+
+    def compute() -> RunoffResult:
+        outcome = evaluate(profile, spec)
+        per_pair = {p: profile.majority_winners(p.lo, p.hi) for p in outcome.pairs}
+        winners = frozenset(c for ws in per_pair.values() for c in ws)
+        return RunoffResult(winners, outcome, MappingProxyType(per_pair))
+
+    return profile._derived(("runoff", spec), compute)
 
 
 def triv_runoff_winners(profile: RankedProfile) -> frozenset[int]:

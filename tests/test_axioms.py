@@ -1,9 +1,11 @@
 """Axiom checker behavior: stored witnesses, search soundness, first witnesses."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -428,6 +430,61 @@ class TestTallyScreens:
         out = check_axiom(profile, RuleSpec.named(name), axioms.STRATEGY_PROOFNESS)
         assert out.status == "none"
         assert len(evaluated) == len(set(evaluated)) == 2 ** profile.m
+
+
+class TestSharedCaches:
+    """A profile keeps the work derived from it: its tally and preferences,
+    one runoff per rule, the tally with one voter moved per (A, S), that
+    tally's finalist pairs per (rule, A, S) and the clone screen per
+    candidate. Each cell of the grid reads what the cells before it kept;
+    here each is compared with the same cell on a copy of the profile whose
+    caches are empty."""
+
+    SPECS = list(axioms.GRID_RULES) + [(name, RuleSpec.named(name)) for name in ("2av", "ccav+")]
+
+    @staticmethod
+    def fresh(profile):
+        return RankedProfile(profile.m, profile.ballots, profile.labels)
+
+    def test_every_cell_on_a_shared_profile_is_the_cache_free_cell(self):
+        rng = random.Random(181)
+        profiles = [manipulation_profile(rng, m, rng.randint(2, 6))
+                    for m in (2, 3, 3, 4, 4, 4, 5, 5, 5)]
+        profiles += [election_profile(rng, m, groups, 2)
+                     for m, groups in ((6, 10), (7, 8), (8, 6))]
+        seen = set()
+        for profile in profiles:
+            if any(b.weight == 0 for b in profile.ballots):
+                seen.add("zero weight")
+            if not all(b.is_consistent() for b in profile.ballots):
+                seen.add("no prefix")
+            for name, spec in self.SPECS:
+                for axiom in axioms.GRID_AXIOMS:
+                    shared = check_axiom(profile, spec, axiom)
+                    alone = check_axiom(self.fresh(profile), spec, axiom)
+                    assert ((shared.status, shared.searched, repr(shared.violation))
+                            == (alone.status, alone.searched, repr(alone.violation))), (
+                        profile, name, axiom)
+                    seen.add((axiom, shared.status))
+                kept, alone = avr(profile, spec), avr(self.fresh(profile), spec)
+                assert kept.winners == alone.winners
+                assert kept.finalist_pairs.pairs == alone.finalist_pairs.pairs
+                assert dict(kept.finalist_pairs.score_table) == dict(
+                    alone.finalist_pairs.score_table)
+        assert seen >= {"zero weight", "no prefix"} | {
+            (axiom, status) for axiom in axioms.GRID_AXIOMS for status in ("none", "violation")
+        } | {(WEAK_CLONE_PROOFNESS, "vacuous")}, seen
+
+    def test_caches_die_with_their_profile(self):
+        profile = election_profile(random.Random(5), 6, 8, 2)
+        ref = weakref.ref(profile)
+        for _, spec in self.SPECS:
+            for axiom in axioms.GRID_AXIOMS:
+                check_axiom(profile, spec, axiom)
+        assert ref().__dict__["_cache"]
+        del profile
+        gc.collect()
+        assert ref() is None
 
 
 class TestFirstDeviation:

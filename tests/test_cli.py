@@ -125,10 +125,12 @@ class TestSimulate:
 
     def test_other_commands_do_not_import_numpy(self):
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, avrunoff.cli; print('numpy' in sys.modules)"
+        # nor the axiom searches, which only `axioms` runs
+        code = ("import sys, avrunoff.cli; "
+                "print('numpy' in sys.modules, 'avrunoff.axioms' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert result.stdout == "False\n"
+        assert result.stdout == "False False\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -197,6 +199,12 @@ class TestAxioms:
         code, out, _ = run(capsys, "axioms", "--profile", RANKED, "--rule", "mav",
                            "--axiom", "strategy-proofness", *option)
         assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("axiom", ["clone-proofness", "range-voting"])
+    def test_axiom_outside_the_grid_is_an_input_error(self, capsys, axiom):
+        code, out, err = run(capsys, "axioms", "--profile", RANKED, "--axiom", axiom)
+        assert (code, out) == (1, "")
+        assert "choose from pareto, monotonicity" in err
 
     def test_json_format(self, capsys, tmp_path):
         profile = tmp_path / "p.avr"

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -351,6 +352,23 @@ class TestDispatch:
             RuleSpec("enestrom-phragmen")
         with pytest.raises(InputError):
             RuleSpec("enestrom-phragmen", beta=F(3, 2))
+
+    def test_direct_calls_check_their_parameters(self, spectrum):
+        # a spec checks its parameters once; the rule functions called
+        # without one still check theirs
+        for call in (lambda t: rules.alpha_av(t, -1), lambda t: rules.alpha_seq_av(t, 2),
+                     lambda t: rules.enestrom_phragmen(t, quota=1, beta=F(1, 3)),
+                     lambda t: rules.enestrom_phragmen(t, beta=F(3, 2))):
+            with pytest.raises(InputError):
+                call(spectrum.tally())
+
+    def test_a_copied_spec_hashes_as_a_new_one(self):
+        # a spec is rebuilt when pickled: a string's hash is per process
+        for name in ("mav", "alpha-seq:1/3", "enephr", "ccav+"):
+            spec = RuleSpec.named(name)
+            copy = pickle.loads(pickle.dumps(spec))
+            assert copy == spec and hash(copy) == hash(spec)
+            assert {spec: name}[copy] == name
 
 
 class TestRuleSymmetries:

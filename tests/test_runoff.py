@@ -219,3 +219,23 @@ class TestTallyAgainstFractionOracle:
                 for c in ((p.lo,) if margins[p] > 0 else (p.hi,) if margins[p] < 0 else p)
             )
             assert avr(profile, spec).winners == winners
+
+
+class TestSharedResults:
+    """A profile keeps one runoff per rule, so every caller reads the same
+    result: none may write into it."""
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+    def test_a_cached_runoff_is_read_only(self, spectrum_ranked, rule):
+        spec = RuleSpec.named(rule.name)
+        result = avr(spectrum_ranked, spec)
+        assert avr(spectrum_ranked, spec) is result
+        outcome = result.finalist_pairs
+        mappings = [result.per_pair_majority, outcome.score_table,
+                    outcome.branch_alphas, outcome.candidate_scores]
+        for mapping in filter(None, mappings):
+            key = next(iter(mapping))
+            before = mapping[key]
+            with pytest.raises(TypeError):
+                mapping[key] = Fraction(-1)
+            assert mapping[key] == before
