@@ -4,7 +4,7 @@ All weights and scores are exact rationals (`fractions.Fraction`), so ties
 are genuine ties and never float artifacts. Ballots are stored grouped with
 a multiplicity weight; fractional weights appear after debiasing. What the
 rules and the runoff read (scores, joint scores, split scores, pairwise
-preferences) is counted once per profile, as integers over the common
+majority margins) is counted once per profile, as integers over the common
 denominator of the weights.
 """
 
@@ -253,7 +253,7 @@ class _Profile:
         """The value `compute()` derives from this profile, computed once per
         `key` and kept on the profile, so it lives exactly as long as the
         profile does. Every cache of derived work (the tally, the
-        preferences, runoffs, moved tallies, screens) is one entry here."""
+        margins, runoffs, moved tallies, screens) is one entry here."""
         try:
             return self.__dict__["_cache"][key]
         except KeyError:
@@ -263,7 +263,7 @@ class _Profile:
 
     def _int_weights(self) -> tuple[list[int], int]:
         """The group weights as integers over their least common
-        denominator (cached): what the tally and the preferences count."""
+        denominator (cached): what the tally and the margins count."""
         def compute():
             denom = math.lcm(*(b.weight.denominator for b in self.ballots))
             return [b.weight.numerator * (denom // b.weight.denominator)
@@ -366,35 +366,35 @@ class RankedProfile(_Profile):
             self.labels,
         )
 
-    def _preferences(self) -> tuple[list[list[int]], int]:
-        """prefs[a][b], the weight of the ballots ranking a above b, as
-        integers over the common denominator (cached): one pass over the
-        ballot groups, merged by ranking first."""
+    def _margins(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """margins[a][b] = W(a≻b) − W(b≻a), as integers over the common
+        denominator (cached): one pass over the ballot groups, merged by
+        ranking first, then one subtraction of the transpose."""
         def compute():
             ints, denom = self._int_weights()
             merged: dict = {}
             for b, w in zip(self.ballots, ints):
                 merged[b.ranking] = merged.get(b.ranking, 0) + w
-            prefs = [[0] * self.m for _ in range(self.m)]
+            above = [[0] * self.m for _ in range(self.m)]
             for ranking, w in merged.items():
                 for i, x in enumerate(ranking):
-                    row = prefs[x]
+                    row = above[x]
                     for y in ranking[i + 1:]:
                         row[y] += w
-            return prefs, denom
-        return self._derived("prefs", compute)
+            return tuple(tuple(ab - ba for ab, ba in zip(row, col))
+                         for row, col in zip(above, zip(*above))), denom
+        return self._derived("margins", compute)
 
     def _margin(self, a: int, b: int) -> int:
         self._require_candidate(a)
         self._require_candidate(b)
         if a == b:
             raise InputError("majority comparison needs two distinct candidates")
-        prefs, _ = self._preferences()
-        return prefs[a][b] - prefs[b][a]
+        return self._margins()[0][a][b]
 
     def majority_margin(self, a: int, b: int) -> Fraction:
         """Weight preferring a over b minus weight preferring b over a."""
-        return Fraction(self._margin(a, b), self._preferences()[1])
+        return Fraction(self._margin(a, b), self._margins()[1])
 
     def majority_winners(self, a: int, b: int) -> frozenset[int]:
         """{a}, {b}, or {a, b} on an exact tie."""
@@ -403,28 +403,24 @@ class RankedProfile(_Profile):
     def dominates(self, a: int, b: int) -> bool:
         """a beats b on every positive-weight ballot and is approved over b somewhere.
 
-        Condition (1): every voter ranks a above b. Condition (2): some
-        voter approves a but not b. Cached per (a, b).
+        Condition (1): every voter ranks a above b, so a's margin over b is
+        the total weight. Condition (2): some voter approves a but not b,
+        so S(a) exceeds the joint score S(ab).
         """
         self._require_candidate(a)
         self._require_candidate(b)
         if a == b:
             raise InputError("domination needs two distinct candidates")
-
-        def compute() -> bool:
-            live = [bal for bal in self.ballots if bal.weight > 0]
-            if not all(bal.prefers(a, b) for bal in live):
-                return False
-            return any(a in bal.approved and b not in bal.approved for bal in live)
-
-        return self._derived(("dominates", a, b), compute)
+        tally = self.tally()
+        return self._margins()[0][a][b] == tally.total and tally.joint[a][a] > tally.joint[a][b]
 
     def condorcet_loser(self) -> Optional[int]:
         """The candidate losing every pairwise majority strictly, if any."""
         if self.m < 2:
             return None
+        margins, _ = self._margins()
         for c in range(self.m):
-            if all(self._margin(c, other) < 0 for other in range(self.m) if other != c):
+            if all(margins[c][other] < 0 for other in range(self.m) if other != c):
                 return c
         return None
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
-from avrunoff.profiles import InputError, RankedProfile
+from avrunoff.profiles import InputError, RankedProfile, majority_outcome
 from avrunoff.rules import TRIV, CandidatePair, RuleOutcome, RuleSpec, evaluate
 
 
@@ -37,11 +37,19 @@ def avr(profile: RankedProfile, spec: RuleSpec) -> RunoffResult:
 
     def compute() -> RunoffResult:
         outcome = evaluate(profile, spec)
-        per_pair = {p: profile.majority_winners(p.lo, p.hi) for p in outcome.pairs}
-        winners = frozenset(c for ws in per_pair.values() for c in ws)
+        margins, _ = profile._margins()
+        winners, per_pair = runoff_winners(outcome.pairs, lambda x, y: margins[x][y])
         return RunoffResult(winners, outcome, MappingProxyType(per_pair))
 
     return profile._derived(("runoff", spec), compute)
+
+
+def runoff_winners(pairs: Iterable[CandidatePair], margin: Callable[[int, int], int]
+                   ) -> tuple[frozenset[int], dict[CandidatePair, frozenset[int]]]:
+    """The runoff on the finalist `pairs`, given the majority margin(x, y)
+    of x over y: the union of the pairs' winners, and each pair's."""
+    per_pair = {p: majority_outcome(*p, margin(*p)) for p in pairs}
+    return frozenset().union(*per_pair.values()), per_pair
 
 
 def triv_runoff_winners(profile: RankedProfile) -> frozenset[int]:

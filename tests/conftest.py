@@ -47,14 +47,19 @@ def approval_profiles(draw, max_m=5, max_n=6, fractional=False):
 
 
 @st.composite
-def ranked_profiles(draw, max_m=5, max_n=6, unit_weights=False):
+def ranked_profiles(draw, max_m=5, max_n=6, unit_weights=False, fractional=False):
+    """Prefix-consistent ballots, empty approvals among them; weights 1..3,
+    or 1, or with `fractional` zero and fractional ones."""
     m = draw(st.integers(2, max_m))
     n = draw(st.integers(1, max_n))
     ballots = []
     for _ in range(n):
         ranking = draw(st.permutations(range(m)))
         t = draw(st.integers(0, m))
-        weight = 1 if unit_weights else draw(st.integers(1, 3))
+        if fractional:
+            weight = draw(small_weights(fractional=True))
+        else:
+            weight = 1 if unit_weights else draw(st.integers(1, 3))
         ballots.append(RankedBallot.from_threshold(ranking, t, weight))
     return RankedProfile(m, ballots)
 

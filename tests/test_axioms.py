@@ -278,7 +278,7 @@ def rebuilt_first_deviation(profile, spec, i, goal):
     `goal`, with the rule evaluated once per approval set S on the profile
     rebuilt with the voter moved to S by `replace_ballot`."""
     m = profile.m
-    prefs, _ = profile._preferences()
+    margins, _ = profile._margins()
     true = profile.ballots[i]
     orders = sorted(
         (top + tuple(c for c in range(m) if c not in top), t)
@@ -295,7 +295,7 @@ def rebuilt_first_deviation(profile, spec, i, goal):
             for a, b in (pair, pair[::-1]):
                 if b in S and a not in S:
                     continue
-                margin = prefs[a][b] - prefs[b][a] - (1 if true.prefers(a, b) else -1) + 1
+                margin = margins[a][b] - (1 if true.prefers(a, b) else -1) + 1
                 if not goal & ({a} if margin > 0 else {b} if margin < 0 else {a, b}):
                     continue
                 ranking = list(smallest)

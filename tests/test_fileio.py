@@ -237,7 +237,7 @@ class TestParseDifferential:
         assert doc.reported == want.reported
         assert got_p.tally() == want_p.tally()
         if ranked:
-            assert got_p._preferences() == want_p._preferences()
+            assert got_p._margins() == want_p._margins()
         assert serialize_document(doc) == serialize_document(want)
 
         if None in want.reported:
@@ -258,7 +258,7 @@ class TestParseDifferential:
         assert debiased == rebuilt
         assert debiased.tally() == rebuilt.tally()
         if ranked:
-            assert debiased._preferences() == rebuilt._preferences()
+            assert debiased._margins() == rebuilt._margins()
 
 
 class TestSerialize:

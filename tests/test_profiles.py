@@ -96,6 +96,23 @@ class TestMajority:
         with pytest.raises(InputError):
             spectrum_ranked.majority_winners(1, 1)
 
+    @given(ranked_profiles(fractional=True))
+    def test_margins_are_the_antisymmetric_ballot_sums(self, profile):
+        margins, denom = profile._margins()
+        for a, b in product(range(profile.m), repeat=2):
+            assert margins[a][b] == -margins[b][a]
+            expected = sum((bal.weight if bal.prefers(a, b) else -bal.weight
+                            for bal in profile.ballots if a != b), Fraction(0))
+            assert Fraction(margins[a][b], denom) == expected
+
+
+def oracle_dominates(profile, a, b):
+    """Pareto dominance by its definition, over the ballots: every
+    positive-weight voter ranks a above b, and one approves a but not b."""
+    live = [bal for bal in profile.ballots if bal.weight > 0]
+    return all(bal.prefers(a, b) for bal in live) and any(
+        a in bal.approved and b not in bal.approved for bal in live)
+
 
 class TestDominates:
     def test_domination_with_empty_ballots(self):
@@ -116,6 +133,11 @@ class TestDominates:
             if profile.dominates(a, b):
                 assert profile.majority_winners(a, b) == {a}
                 assert V.approval_score(a) > V.approval_score(b)
+
+    @given(ranked_profiles(fractional=True))
+    def test_domination_matches_the_ballot_definition(self, profile):
+        for a, b in permutations(range(profile.m), 2):
+            assert profile.dominates(a, b) == oracle_dominates(profile, a, b)
 
 
 def brute_condorcet_loser(profile):
@@ -351,7 +373,7 @@ class TestReweighting:
     @given(ranked_profiles(), st.integers(0, 4), st.integers(1, 4))
     def test_reweighted_profile_counts_its_own_weights(self, profile, num, den):
         # read the source's counts first: they must not leak into the copy
-        before, (prefs, denom) = profile.tally(), profile._preferences()
+        before, (margins, denom) = profile.tally(), profile._margins()
         factor = Fraction(num, den)
         scaled = profile.scaled(factor)
         rebuilt = RankedProfile(
@@ -361,13 +383,13 @@ class TestReweighting:
         )
         assert scaled == rebuilt
         assert scaled.tally() == rebuilt.tally()
-        assert scaled._preferences() == rebuilt._preferences()
+        assert scaled._margins() == rebuilt._margins()
         for x in range(profile.m):
             assert Fraction(scaled.tally().scores[x], scaled.tally().denom) == \
                 Fraction(before.scores[x], before.denom) * factor
             for y in range(profile.m):
-                assert Fraction(scaled._preferences()[0][x][y], scaled._preferences()[1]) == \
-                    Fraction(prefs[x][y], denom) * factor
+                assert Fraction(scaled._margins()[0][x][y], scaled._margins()[1]) == \
+                    Fraction(margins[x][y], denom) * factor
 
 
 class TestOneOfEach:
