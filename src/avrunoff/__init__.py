@@ -15,7 +15,7 @@ from avrunoff.profiles import (
     RankedProfile,
 )
 from avrunoff.rules import CandidatePair, RuleOutcome, RuleSpec, evaluate
-from avrunoff.runoff import RunoffResult, avr, triv_runoff_winners
+from avrunoff.runoff import RunoffResult, avr
 
 __all__ = [
     "ApprovalBallot",
@@ -29,5 +29,4 @@ __all__ = [
     "RunoffResult",
     "avr",
     "evaluate",
-    "triv_runoff_winners",
 ]

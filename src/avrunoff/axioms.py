@@ -53,6 +53,7 @@ from avrunoff.profiles import (
     RankedProfile,
     Tally,
     _unit_ballot,
+    majority_outcome,
 )
 from avrunoff.rules import CandidatePair, RuleSpec, evaluate, tally_outcome
 from avrunoff.runoff import avr, runoff_winners
@@ -177,23 +178,12 @@ def a_improvements(profile: RankedProfile, a: int) -> Iterator[tuple[int, Ranked
     for i, b in enumerate(profile.ballots):
         if b.weight == 0:
             continue
-        pos = b.position(a)
-        if b.is_consistent():
-            t = b.threshold
-            if a in b.approved:
-                for j in range(pos):
-                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
-            else:
-                for j in range(t, pos):
-                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
-                for j in range(t + 1):
-                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved | {a})
-        else:
-            for j in range(pos):
-                yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
-            if a not in b.approved:
-                for j in range(pos + 1):
-                    yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved | {a})
+        pos, t, prefix = b.position(a), b.threshold, b.is_consistent()
+        for j in range(t if prefix and a not in b.approved else 0, pos):
+            yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved)
+        if a not in b.approved:
+            for j in range((t if prefix else pos) + 1):
+                yield i, _unit_ballot(_move(b.ranking, pos, j), b.approved | {a})
 
 
 def i_deviations(profile: RankedProfile, i: int) -> Iterator[RankedBallot]:
@@ -452,7 +442,7 @@ def _first_deviation(profile, spec, true, goal) -> Optional[tuple[tuple[int, ...
                     continue
                 # m0, the margin of a over b without the true ballot, + 1
                 margin = margins[a][b] - _vote(true, a, b) + 1
-                if not goal & ({a} if margin > 0 else {b} if margin < 0 else {a, b}):
+                if not goal & majority_outcome(a, b, margin):
                     continue
                 ranking = list(smallest)
                 if ranking.index(b) < ranking.index(a):

@@ -2,7 +2,9 @@
 
 Subcommands: score, finalists, winner, sweep-alpha, simulate, axioms,
 network, debias. Exit codes: 0 ok, 1 input error, 2 internal error.
-Every axiom search is exact, so `axioms` always reaches a verdict.
+A rule is named as `RuleSpec.named` reads it (mav, pav, alpha-av:<r>,
+...), the same in every subcommand. Every axiom search is exact, so
+`axioms` always reaches a verdict.
 """
 
 from __future__ import annotations
@@ -67,13 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True,
                    help="one of: " + ", ".join(rules.RULE_NAMES))
-    p.add_argument("--alpha", default=None)
     p.add_argument("--quota-beta", default=None)
 
     p = add("winner", cmd_winner, "runoff winners (rule + pairwise majority)")
     p.add_argument("--profile", required=True)
     p.add_argument("--rule", required=True)
-    p.add_argument("--alpha", default=None)
     p.add_argument("--quota-beta", default=None)
 
     p = add("sweep-alpha", cmd_sweep_alpha,
@@ -133,16 +133,6 @@ def _load_document(path: str) -> fileio.ProfileDocument:
     return fileio.parse_document(text)
 
 
-def _resolve_rule(args) -> RuleSpec:
-    name = args.rule.strip().lower()
-    alpha = getattr(args, "alpha", None)
-    if (alpha is not None) != (name in ("alpha-av", "alpha-seq")):
-        raise InputError("--rule alpha-av and alpha-seq need --alpha; no other rule takes it")
-    if alpha is not None:
-        name = f"{name}:{alpha}"
-    return RuleSpec.named(name, quota_beta=getattr(args, "quota_beta", None))
-
-
 def _fmt_pair(pair: CandidatePair, labels) -> str:
     return "{%s,%s}" % (labels[pair.lo], labels[pair.hi])
 
@@ -198,14 +188,14 @@ def cmd_score(args) -> int:
 
 def cmd_finalists(args) -> int:
     V = _load_document(args.profile).profile
-    outcome = rules.evaluate(V, _resolve_rule(args))
+    outcome = rules.evaluate(V, RuleSpec.named(args.rule, quota_beta=args.quota_beta))
     _emit(args, "\n".join(_fmt_pair(p, V.labels) for p in outcome.pairs) + "\n")
     return EXIT_OK
 
 
 def cmd_winner(args) -> int:
     profile = _load_document(args.profile).profile
-    result = avr(profile, _resolve_rule(args))
+    result = avr(profile, RuleSpec.named(args.rule, quota_beta=args.quota_beta))
     _emit(args, " ".join(profile.labels[c] for c in sorted(result.winners)) + "\n")
     return EXIT_OK
 
@@ -221,8 +211,8 @@ def cmd_sweep_alpha(args) -> int:
     )
     grid = []
     for a in points:
-        av = rules.alpha_av(tally, a)
-        seq = rules.alpha_seq_av(tally, a)
+        av = rules.tally_outcome(tally, RuleSpec("alpha-av", alpha=a))
+        seq = rules.tally_outcome(tally, RuleSpec("alpha-seq", alpha=a))
         x1 = seq.first_stage[0]
         curve = {
             y: seq.score_table[CandidatePair.of(x1, y)] - Fraction(tally.scores[x1], tally.denom)

@@ -7,12 +7,13 @@ proportional, and coverage (Chamberlin-Courant style) rules, and alpha = 2
 the clone-resistant variant. Sequential variants fix the first finalist as
 an approval winner and optimize the second seat only.
 
-A rule is a function of a profile's `Tally` (`evaluate` runs it on a
-profile, approval or ranked, of at least two candidates, and
-`tally_outcome` on a tally no profile was built for): it compares
-integers, cross-multiplied by a parameter's denominator, and keeps its
-score table as integers: the Fractions are built only when the table is
-read, so a search that reads only the pairs builds none.
+A rule is named by a `RuleSpec` and run by one entry, `tally_outcome(tally,
+spec)`, which checks that the tally has two candidates or more (`evaluate`
+runs it on a profile's tally); the rule functions are private rows of
+`RULES`. A rule compares integers, cross-multiplied by a parameter's
+denominator, and keeps its score table as integers: the Fractions are
+built only when the table is read, so a search that reads only the pairs
+builds none.
 """
 
 from __future__ import annotations
@@ -68,15 +69,6 @@ QUOTA = Param("quota", "quota", Fraction(0), None, "enephr[Q={}]")
 BETA = Param("beta", "beta", Fraction(0), Fraction(1), "enephr[beta={}]")
 
 
-def _one_of(params: tuple[Param, ...], values) -> tuple[Param, Fraction]:
-    """The one parameter given among `params`, with its checked value."""
-    given = [(p, v) for p, v in zip(params, values) if v is not None]
-    if len(given) != 1:
-        raise InputError("give exactly one of " + " or ".join(p.field for p in params))
-    param, value = given[0]
-    return param, param.check(value)
-
-
 @dataclass(frozen=True)
 class RuleSpec:
     """Which rule to run, with its exact-rational parameters.
@@ -102,9 +94,11 @@ class RuleSpec:
         for field in ("alpha", "quota", "beta"):
             if getattr(self, field) is not None and all(p.field != field for p in params):
                 raise InputError(f"rule kind {self.kind!r} takes no {field}")
-        if params:
-            param, value = _one_of(params, [getattr(self, p.field) for p in params])
-            object.__setattr__(self, param.field, value)
+        given = [p for p in params if getattr(self, p.field) is not None]
+        if params and len(given) != 1:
+            raise InputError("give exactly one of " + " or ".join(p.field for p in params))
+        for param in given:
+            object.__setattr__(self, param.field, param.check(getattr(self, param.field)))
         # the rule function's arguments after the tally, in its parameters' order
         object.__setattr__(self, "_args", tuple(getattr(self, p.field) for p in params))
         object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.quota, self.beta)))
@@ -206,11 +200,6 @@ class RuleOutcome:
         return frozenset(self.pairs)
 
 
-def _require_two(m: int) -> None:
-    if m < 2:
-        raise InputError("need at least two candidates")
-
-
 def _argbest(table: Mapping[CandidatePair, object], sense: str) -> tuple[CandidatePair, ...]:
     extreme = max(table.values()) if sense == "max" else min(table.values())
     return tuple(sorted(p for p, s in table.items() if s == extreme))
@@ -240,32 +229,23 @@ def _zeros(pairs: tuple[CandidatePair, ...]) -> ScoreTable:
     return ScoreTable((dict.fromkeys(pairs, 0), 1))
 
 
-# The rule functions come in two kinds: the public ones check their
-# parameters, and the ones `tally_outcome` runs (named with a leading
-# underscore where the two differ) take the values a RuleSpec checked.
-
-
-def alpha_av(tally: Tally, alpha) -> RuleOutcome:
-    """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
-    return _alpha_av(tally, ALPHA.check(alpha))
+# The rule functions of the RULES rows: each takes a tally of at least two
+# candidates and the parameter values a RuleSpec checked.
 
 
 def _alpha_av(tally: Tally, alpha: Fraction) -> RuleOutcome:
+    """Pairs maximizing S(x) + S(y) - alpha * S(xy) over all pairs."""
     table = _discounted(tally, all_pairs(tally.m), alpha)
     return RuleOutcome(_argbest(table, "max"),
                        ScoreTable((table, alpha.denominator * tally.denom)))
 
 
-def alpha_seq_av(tally: Tally, alpha) -> RuleOutcome:
+def _alpha_seq_av(tally: Tally, alpha: Fraction) -> RuleOutcome:
     """First finalist an approval winner, second maximizing S(y) - alpha * S(x1,y).
 
     All first-stage ties are expanded as branches and the per-branch optima
     unioned. Table entries carry the full pair score S(x1) + S(y) - alpha*S(x1,y).
     """
-    return _alpha_seq_av(tally, SEQ_ALPHA.check(alpha))
-
-
-def _alpha_seq_av(tally: Tally, alpha: Fraction) -> RuleOutcome:
     return _seq_alpha_outcome(tally, lambda x1: alpha)
 
 
@@ -287,18 +267,13 @@ def _seq_alpha_outcome(tally: Tally, alpha_of: Callable[[int], Fraction]) -> Rul
     )
 
 
-def enestrom_phragmen(tally: Tally, quota=None, beta=None) -> RuleOutcome:
+def _enestrom_phragmen(tally: Tally, quota: Optional[Fraction] = None,
+                       beta: Optional[Fraction] = None) -> RuleOutcome:
     """Sequential rule with per-branch discount min(1, Q / S(x1)).
 
     The quota is given either absolutely or as beta with Q = beta * n.
     A zero-score first finalist (all-empty profile) uses discount 1.
     """
-    param, value = _one_of((QUOTA, BETA), (quota, beta))
-    return _enestrom_phragmen(tally, **{param.field: value})
-
-
-def _enestrom_phragmen(tally: Tally, quota: Optional[Fraction] = None,
-                       beta: Optional[Fraction] = None) -> RuleOutcome:
     n = Fraction(tally.total, tally.denom)
     q = quota if beta is None else beta * n
     if not 0 <= q <= n:
@@ -308,7 +283,7 @@ def _enestrom_phragmen(tally: Tally, quota: Optional[Fraction] = None,
         else min(Fraction(1), q * tally.denom / tally.scores[x1])))
 
 
-def seq_phragmen(tally: Tally) -> RuleOutcome:
+def _seq_phragmen(tally: Tally) -> RuleOutcome:
     """First finalist an approval winner; second minimizes the voter load
     (1 + S(x1,y)/S(x1)) / S(y).
 
@@ -339,7 +314,7 @@ def seq_phragmen(tally: Tally) -> RuleOutcome:
                        first_stage=winners)
 
 
-def sav(tally: Tally) -> RuleOutcome:
+def _sav(tally: Tally) -> RuleOutcome:
     """Each ballot splits its weight evenly over its approved candidates;
     pairs maximizing the summed split scores win. Empty ballots contribute
     nothing."""
@@ -352,13 +327,13 @@ def sav(tally: Tally) -> RuleOutcome:
     )
 
 
-def triv(tally: Tally) -> RuleOutcome:
+def _triv(tally: Tally) -> RuleOutcome:
     """All pairs, regardless of the ballots."""
     pairs = all_pairs(tally.m)
     return RuleOutcome(pairs, _zeros(pairs))
 
 
-def ccav_plus(tally: Tally) -> RuleOutcome:
+def _ccav_plus(tally: Tally) -> RuleOutcome:
     """Coverage-optimal pairs, ties broken by the plain approval sum.
 
     Scores are (coverage score, approval sum) compared lexicographically,
@@ -372,18 +347,17 @@ def ccav_plus(tally: Tally) -> RuleOutcome:
     return RuleOutcome(_argbest(table, "max"), ScoreTable((table, tally.denom)))
 
 
-def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
-    """Run the rule of `spec` on the tally of `profile`, approval or ranked;
-    a profile needs at least two candidates."""
-    _require_two(profile.m)
-    return tally_outcome(profile.tally(), spec)
-
-
 def tally_outcome(tally: Tally, spec: RuleSpec) -> RuleOutcome:
-    """Run the rule of `spec` on `tally`, which the caller knows has at
-    least two candidates: the entry for tallies no profile was built for.
-    The parameters are the ones `spec` checked when it was built."""
+    """Run the rule of `spec` on `tally`, with the parameters `spec` checked
+    when it was built; the tally needs at least two candidates."""
+    if tally.m < 2:
+        raise InputError("need at least two candidates")
     return _KINDS[spec.kind].fn(tally, *spec._args)
+
+
+def evaluate(profile: Profile, spec: RuleSpec) -> RuleOutcome:
+    """`tally_outcome` on the tally of `profile`, approval or ranked."""
+    return tally_outcome(profile.tally(), spec)
 
 
 class Rule(NamedTuple):
@@ -399,7 +373,7 @@ class Rule(NamedTuple):
 
 
 # Every rule the package names. Rows of one kind share its function and
-# parameters; the rest of the module (RuleSpec.named, describe, evaluate,
+# parameters; the rest of the module (RuleSpec.named, describe, tally_outcome,
 # RULE_NAMES and the constants below) is read from this table, so adding a
 # rule is one row. The beta of a rule with one is set by `--quota-beta`, so
 # such a rule is shown with its beta.
@@ -410,12 +384,12 @@ RULES: tuple[Rule, ...] = (
     Rule("2av", (), "alpha-av", _alpha_av, (ALPHA,), {"alpha": Fraction(2)}),
     Rule("spav", (), "alpha-seq", _alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1, 2)}),
     Rule("sccav", (), "alpha-seq", _alpha_seq_av, (SEQ_ALPHA,), {"alpha": Fraction(1)}),
-    Rule("sphr", (), "seq-phragmen", seq_phragmen),
+    Rule("sphr", (), "seq-phragmen", _seq_phragmen),
     Rule("enephr", (), "enestrom-phragmen", _enestrom_phragmen, (QUOTA, BETA),
          {"beta": Fraction(1, 3)}),
-    Rule("sav", (), "sav", sav),
-    Rule("triv", (), "triv", triv),
-    Rule("ccav+", (), "ccav-plus", ccav_plus),
+    Rule("sav", (), "sav", _sav),
+    Rule("triv", (), "triv", _triv),
+    Rule("ccav+", (), "ccav-plus", _ccav_plus),
 )
 
 _KINDS = {rule.kind: rule for rule in RULES}
@@ -448,20 +422,21 @@ def alpha_av_breakpoints(tally: Tally) -> list[Fraction]:
     pair lines cross; each candidate crossing is kept if the argmax set
     differs on its two sides.
     """
-    _require_two(tally.m)
-    S, J = tally.scores, tally.joint
-    # each pair's line S(x) + S(y) - alpha * S(xy), over the tally's denominator
-    lines = {p: (S[p.lo] + S[p.hi], J[p.lo][p.hi]) for p in all_pairs(tally.m)}
+    if tally.m < 2:
+        raise InputError("need at least two candidates")
+    pairs = all_pairs(tally.m)
 
-    def argmax_at(a: Fraction) -> frozenset[CandidatePair]:
-        vals = {p: a.denominator * m - a.numerator * j for p, (m, j) in lines.items()}
-        best = max(vals.values())
-        return frozenset(p for p, v in vals.items() if v == best)
+    def argmax_at(a: Fraction) -> tuple[CandidatePair, ...]:
+        return _argbest(_discounted(tally, pairs, a), "max")
 
+    # each pair's line S(x) + S(y) - alpha * S(xy) starts at at0 and falls
+    # by at0 - at1 per unit of alpha
+    at0, at1 = (_discounted(tally, pairs, Fraction(k)) for k in (0, 1))
     crossings = set()
-    for (p, (mp, jp)), (q, (mq, jq)) in combinations(lines.items(), 2):
-        if jp != jq:
-            a = Fraction(mp - mq, jp - jq)
+    for p, q in combinations(pairs, 2):
+        slope = at0[p] - at1[p] - at0[q] + at1[q]
+        if slope:
+            a = Fraction(at0[p] - at0[q], slope)
             if 0 < a <= 1:
                 crossings.add(a)
     # the argmax set is piecewise constant; it can only jump at a crossing

@@ -1,4 +1,6 @@
-"""Composition of a two-committee rule with a pairwise majority runoff."""
+"""Composition of a two-committee rule with a pairwise majority runoff:
+`avr(profile, spec)` runs the rule of `spec`, then majority-votes each
+finalist pair (every pair, for `rules.TRIV`)."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from avrunoff.profiles import InputError, RankedProfile, majority_outcome
-from avrunoff.rules import TRIV, CandidatePair, RuleOutcome, RuleSpec, evaluate
+from avrunoff.rules import CandidatePair, RuleOutcome, RuleSpec, evaluate
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,3 @@ def runoff_winners(pairs: Iterable[CandidatePair], margin: Callable[[int, int], 
     of x over y: the union of the pairs' winners, and each pair's."""
     per_pair = {p: majority_outcome(*p, margin(*p)) for p in pairs}
     return frozenset().union(*per_pair.values()), per_pair
-
-
-def triv_runoff_winners(profile: RankedProfile) -> frozenset[int]:
-    """Winners when every pair reaches the runoff: everyone except a
-    strict loser of all pairwise contests."""
-    return avr(profile, TRIV).winners

@@ -16,8 +16,20 @@ import pytest
 
 from avrunoff import axioms, fileio, rules, spatial, witnesses
 from avrunoff.axioms import GRID_AXIOMS, GRID_EXPECTED, GRID_RULES, run_grid_cell
-from avrunoff.rules import CandidatePair, RuleSpec
-from avrunoff.runoff import avr, triv_runoff_winners
+from avrunoff.rules import (
+    CCAV,
+    ENEPHR,
+    MAV,
+    PAV,
+    SAV,
+    SCCAV,
+    SPAV,
+    SPHR,
+    TRIV,
+    CandidatePair,
+    RuleSpec,
+)
+from avrunoff.runoff import avr
 from test_witnesses import CLAIMS
 
 F = Fraction
@@ -43,11 +55,11 @@ def criterion(number, title, limit_seconds):
 
 def test_criterion_01_score_table_reproduction(spectrum):
     with criterion(1, "pair score table reproduced exactly", 1.0):
-        mav = rules.alpha_av(spectrum.tally(), 0)
-        pav = rules.alpha_av(spectrum.tally(), F(1, 2))
-        ccav = rules.alpha_av(spectrum.tally(), 1)
-        sphr = rules.seq_phragmen(spectrum.tally())
-        sav = rules.sav(spectrum.tally())
+        mav = rules.tally_outcome(spectrum.tally(), MAV)
+        pav = rules.tally_outcome(spectrum.tally(), PAV)
+        ccav = rules.tally_outcome(spectrum.tally(), CCAV)
+        sphr = rules.tally_outcome(spectrum.tally(), SPHR)
+        sav = rules.tally_outcome(spectrum.tally(), SAV)
         rows = (B, C, D)
         assert [mav.score_table[pair(A, y)] for y in rows] == [22, 20, 17]
         assert [pav.score_table[pair(A, y)] for y in rows] == [17, 18, 17]
@@ -62,8 +74,8 @@ def test_criterion_01_score_table_reproduction(spectrum):
             F(32, 3), F(29, 3), F(28, 3),
         ]
         # the sequential variants coincide here (unique approval winner)
-        assert rules.alpha_seq_av(spectrum.tally(), F(1, 2)).score_table[pair(A, C)] == 18
-        assert rules.alpha_seq_av(spectrum.tally(), 1).score_table[pair(A, D)] == 17
+        assert rules.tally_outcome(spectrum.tally(), SPAV).score_table[pair(A, C)] == 18
+        assert rules.tally_outcome(spectrum.tally(), SCCAV).score_table[pair(A, D)] == 17
         # optima: plain {a,b}, half {a,c}, full {a,d}, load {a,c}, split {a,b}
         assert mav.pair_set == {pair(A, B)}
         assert pav.pair_set == {pair(A, C)}
@@ -74,10 +86,10 @@ def test_criterion_01_score_table_reproduction(spectrum):
 
 def test_criterion_02_quota_rule_examples(spectrum):
     with criterion(2, "quota rule at Droop and Hare quotas", 1.0):
-        droop = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 3))
+        droop = rules.tally_outcome(spectrum.tally(), ENEPHR)
         assert droop.branch_alphas == {A: F(17, 36)}
         assert droop.pair_set == {pair(A, C)}
-        hare = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 2))
+        hare = rules.tally_outcome(spectrum.tally(), RuleSpec("enestrom-phragmen", beta=F(1, 2)))
         assert hare.branch_alphas == {A: F(17, 24)}
         assert hare.score_table[pair(A, C)] == F(103, 6)
         assert hare.pair_set == {pair(A, C)}
@@ -126,7 +138,7 @@ def test_criterion_06_all_pairs_characterization():
             expected = frozenset(range(profile.m)) - (
                 {loser} if loser is not None else frozenset()
             )
-            assert triv_runoff_winners(profile) == expected
+            assert avr(profile, TRIV).winners == expected
 
 
 def test_criterion_07_closed_form_positions():
@@ -168,10 +180,15 @@ def test_criterion_09_alpha_sweep_breakpoints(spectrum):
         # solving 22 - 10a = 20 - 4a and 20 - 4a = 17 on the affine rows
         assert breakpoints == [F(1, 3), F(3, 4)]
         eps = F(1, 10000)
-        assert rules.alpha_av(spectrum.tally(), F(1, 3) - eps).pair_set == {pair(A, B)}
-        assert rules.alpha_av(spectrum.tally(), F(1, 3) + eps).pair_set == {pair(A, C)}
-        assert rules.alpha_av(spectrum.tally(), F(3, 4) - eps).pair_set == {pair(A, C)}
-        assert rules.alpha_av(spectrum.tally(), F(3, 4) + eps).pair_set == {pair(A, D)}
+
+        def argmax(alpha):
+            spec = RuleSpec("alpha-av", alpha=alpha)
+            return rules.tally_outcome(spectrum.tally(), spec).pair_set
+
+        assert argmax(F(1, 3) - eps) == {pair(A, B)}
+        assert argmax(F(1, 3) + eps) == {pair(A, C)}
+        assert argmax(F(3, 4) - eps) == {pair(A, C)}
+        assert argmax(F(3, 4) + eps) == {pair(A, D)}
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

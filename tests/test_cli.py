@@ -38,7 +38,7 @@ class TestFinalists:
 
     def test_parameterized_alpha(self, capsys):
         code, out, _ = run(capsys, "finalists", "--profile", SPECTRUM,
-                           "--rule", "alpha-av", "--alpha", "1")
+                           "--rule", "alpha-av:1")
         assert (code, out) == (0, "{a,d}\n")
 
 
@@ -225,6 +225,22 @@ class TestAxioms:
     (("score", "--profile", SURVEY), "score_synthetic_survey.txt"),
     (("score", "--profile", RANKED, "--format", "csv"), "score_spectrum_ranked.csv"),
     (("sweep-alpha", "--profile", SPECTRUM, "--format", "json"), "sweep_alpha_spectrum.json"),
+    (("sweep-alpha", "--profile", SURVEY), "sweep_alpha_synthetic_survey.txt"),
+    (("sweep-alpha", "--profile", SURVEY, "--format", "csv"), "sweep_alpha_synthetic_survey.csv"),
+    (("finalists", "--profile", SURVEY, "--rule", "alpha-av:1/4"),
+     "finalists_synthetic_survey_alpha_av_1_4.txt"),
+    (("finalists", "--profile", SURVEY, "--rule", "alpha-seq:1/3"),
+     "finalists_synthetic_survey_alpha_seq_1_3.txt"),
+    (("winner", "--profile", SURVEY, "--rule", "alpha-av:1/4"),
+     "winner_synthetic_survey_alpha_av_1_4.txt"),
+    (("winner", "--profile", RANKED, "--rule", "alpha-seq:1/3"),
+     "winner_spectrum_ranked_alpha_seq_1_3.txt"),
+    (("score", "--profile", SPECTRUM, "--rule", "enephr", "--quota-beta", "1/4"),
+     "score_spectrum_enephr_beta_1_4.txt"),
+    (("finalists", "--profile", SURVEY, "--rule", "enephr", "--quota-beta", "1/4"),
+     "finalists_synthetic_survey_enephr_beta_1_4.txt"),
+    (("winner", "--profile", RANKED, "--rule", "enephr", "--quota-beta", "1/4"),
+     "winner_spectrum_ranked_enephr_beta_1_4.txt"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_stdout_matches_the_golden_file(capsys, argv, golden):
     # every axiom cell's status, searched count and note, byte for byte
@@ -288,9 +304,13 @@ class TestExitCodes:
         ("winner", "--profile", RANKED, "--rule", "alpha-seq"),
     ])
     def test_alpha_without_a_bare_alpha_rule_or_the_reverse(self, capsys, argv):
+        # --alpha is an unknown flag; a bare alpha-av or alpha-seq names no rule
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error:") and "--alpha" in err
+        if "--alpha" in argv:
+            assert "unrecognized arguments: --alpha" in err
+        else:
+            assert err.startswith("error: unknown rule name")
 
     @pytest.mark.parametrize("text", [
         "candidates: a\n2 * a |\n",
@@ -310,7 +330,7 @@ class TestExitCodes:
 
     def test_alpha_rule_name_is_normalised(self, capsys):
         code, out, _ = run(capsys, "finalists", "--profile", SPECTRUM,
-                           "--rule", " ALPHA-AV", "--alpha", "1")
+                           "--rule", " ALPHA-AV:1")
         assert (code, out) == (0, "{a,d}\n")
 
     def test_unknown_flag(self, capsys):

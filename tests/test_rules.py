@@ -1,4 +1,6 @@
+import inspect
 import pickle
+import typing
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,8 +24,10 @@ from avrunoff.rules import (
     TRIV,
     TWO_AV,
     CandidatePair,
+    RuleOutcome,
     RuleSpec,
     evaluate,
+    tally_outcome,
 )
 from conftest import approval_profiles
 
@@ -37,6 +41,16 @@ def pair(a, b):
 
 def pairs(*ps):
     return frozenset(pair(a, b) for a, b in ps)
+
+
+def av(alpha):
+    """The alpha-av rule at `alpha`."""
+    return RuleSpec("alpha-av", alpha=alpha)
+
+
+def seq(alpha):
+    """The alpha-seq rule at `alpha`."""
+    return RuleSpec("alpha-seq", alpha=alpha)
 
 
 # --- independent oracles: recompute everything from the raw ballots ---
@@ -113,70 +127,74 @@ def oracle_sav(profile):
 
 class TestPairScoreFamily:
     def test_plain_sum_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum.tally(), 0)
+        out = tally_outcome(spectrum.tally(), MAV)
         assert out.pair_set == pairs((A, B))
         assert out.score_table[pair(A, B)] == 22
         assert out.score_table[pair(A, C)] == 20
         assert out.score_table[pair(A, D)] == 17
 
     def test_half_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum.tally(), F(1, 2))
+        out = tally_outcome(spectrum.tally(), PAV)
         assert out.pair_set == pairs((A, C))
         assert [out.score_table[pair(A, y)] for y in (B, C, D)] == [17, 18, 17]
 
     def test_full_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum.tally(), 1)
+        out = tally_outcome(spectrum.tally(), CCAV)
         assert out.pair_set == pairs((A, D))
         # the score of {a,b} is 12+10-10 = 12: every a-or-b approver counted once
         assert [out.score_table[pair(A, y)] for y in (B, C, D)] == [12, 16, 17]
 
     def test_double_discount_on_spectrum(self, spectrum):
-        out = rules.alpha_av(spectrum.tally(), 2)
+        out = tally_outcome(spectrum.tally(), TWO_AV)
         assert out.pair_set == oracle_alpha_av(spectrum, F(2))
         assert out.score_table[pair(A, B)] == 2
 
     def test_table_covers_all_pairs(self, spectrum):
-        assert len(rules.alpha_av(spectrum.tally(), 0).score_table) == 6
+        assert len(tally_outcome(spectrum.tally(), MAV).score_table) == 6
 
     def test_rejects_single_candidate(self):
         one = ApprovalProfile(1, [ApprovalBallot({0})])
         for rule in rules.RULES:
             with pytest.raises(InputError, match="at least two candidates"):
                 evaluate(one, RuleSpec.named(rule.name))
+            # the one check is the tally entry's, for tallies no profile was built for
+            with pytest.raises(InputError, match="^need at least two candidates$"):
+                tally_outcome(one.tally(), RuleSpec.named(rule.name))
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 8), st.integers(1, 4)))
     def test_matches_oracle(self, profile, alpha):
-        assert rules.alpha_av(profile.tally(), alpha).pair_set == oracle_alpha_av(profile, alpha)
+        out = tally_outcome(profile.tally(), av(alpha))
+        assert out.pair_set == oracle_alpha_av(profile, alpha)
 
 
 class TestSequentialFamily:
     def test_spectrum_matches_joint_versions(self, spectrum):
         # unique approval winner, so sequential equals joint here
-        assert rules.alpha_seq_av(spectrum.tally(), F(1, 2)).pair_set == pairs((A, C))
-        assert rules.alpha_seq_av(spectrum.tally(), 1).pair_set == pairs((A, D))
-        assert rules.alpha_seq_av(spectrum.tally(), 0).pair_set == pairs((A, B))
+        assert tally_outcome(spectrum.tally(), SPAV).pair_set == pairs((A, C))
+        assert tally_outcome(spectrum.tally(), SCCAV).pair_set == pairs((A, D))
+        assert tally_outcome(spectrum.tally(), seq(0)).pair_set == pairs((A, B))
 
     def test_table_carries_full_pair_scores(self, spectrum):
-        out = rules.alpha_seq_av(spectrum.tally(), F(1, 2))
+        out = tally_outcome(spectrum.tally(), SPAV)
         assert out.score_table[pair(A, C)] == 18
         assert out.first_stage == (A,)
 
     def test_alpha_outside_unit_interval_rejected(self, spectrum):
         with pytest.raises(InputError):
-            rules.alpha_seq_av(spectrum.tally(), 2)
+            tally_outcome(spectrum.tally(), seq(2))
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 4), st.integers(4, 4)))
     def test_matches_oracle(self, profile, alpha):
-        out = rules.alpha_seq_av(profile.tally(), alpha)
+        out = tally_outcome(profile.tally(), seq(alpha))
         assert out.pair_set == oracle_seq(profile, lambda x1: alpha)
 
     @given(approval_profiles(fractional=True))
     def test_zero_discount_equals_plain_pair_rule(self, profile):
         assert (
-            rules.alpha_seq_av(profile.tally(), 0).pair_set
-            == rules.alpha_av(profile.tally(), 0).pair_set
+            tally_outcome(profile.tally(), seq(0)).pair_set
+            == tally_outcome(profile.tally(), MAV).pair_set
         )
 
     @given(approval_profiles(fractional=True))
@@ -189,38 +207,38 @@ class TestSequentialFamily:
 
 class TestQuotaRule:
     def test_droop_quota_on_spectrum(self, spectrum):
-        out = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 3))
+        out = tally_outcome(spectrum.tally(), ENEPHR)
         assert out.pair_set == pairs((A, C))
         assert out.branch_alphas == {A: F(17, 36)}
 
     def test_hare_quota_on_spectrum(self, spectrum):
-        out = rules.enestrom_phragmen(spectrum.tally(), beta=F(1, 2))
+        out = tally_outcome(spectrum.tally(), RuleSpec("enestrom-phragmen", beta=F(1, 2)))
         assert out.pair_set == pairs((A, C))
         assert out.branch_alphas == {A: F(17, 24)}
         assert out.score_table[pair(A, C)] == F(103, 6)
 
     def test_zero_quota_means_no_discount(self, spectrum):
         assert (
-            rules.enestrom_phragmen(spectrum.tally(), quota=0).pair_set
-            == rules.alpha_seq_av(spectrum.tally(), 0).pair_set
+            tally_outcome(spectrum.tally(), RuleSpec("enestrom-phragmen", quota=0)).pair_set
+            == tally_outcome(spectrum.tally(), seq(0)).pair_set
         )
 
     def test_quota_above_total_rejected(self, spectrum):
         with pytest.raises(InputError):
-            rules.enestrom_phragmen(spectrum.tally(), quota=18)
+            tally_outcome(spectrum.tally(), RuleSpec("enestrom-phragmen", quota=18))
 
     @given(approval_profiles(fractional=True))
     def test_saturated_quota_equals_full_discount(self, profile):
         top = max(profile.score_vector())
         quota = min(top, profile.total_weight)
-        out = rules.enestrom_phragmen(profile.tally(), quota=quota)
-        assert out.pair_set == rules.alpha_seq_av(profile.tally(), 1).pair_set
+        out = tally_outcome(profile.tally(), RuleSpec("enestrom-phragmen", quota=quota))
+        assert out.pair_set == tally_outcome(profile.tally(), SCCAV).pair_set
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 3), st.integers(3, 3)))
     def test_matches_oracle(self, profile, beta):
         quota = beta * profile.total_weight
-        out = rules.enestrom_phragmen(profile.tally(), beta=beta)
+        out = tally_outcome(profile.tally(), RuleSpec("enestrom-phragmen", beta=beta))
         scores = [brute_score(profile, c) for c in range(profile.m)]
 
         def branch_alpha(x1):
@@ -231,7 +249,7 @@ class TestQuotaRule:
 
 class TestLoadMinimizer:
     def test_spectrum_loads(self, spectrum):
-        out = rules.seq_phragmen(spectrum.tally())
+        out = tally_outcome(spectrum.tally(), SPHR)
         assert out.pair_set == pairs((A, C))
         assert out.objective_sense == "min"
         assert out.score_table[pair(A, B)] == F(22, 120)
@@ -240,27 +258,28 @@ class TestLoadMinimizer:
 
     def test_two_identical_ballots(self):
         profile = parse_profile("candidates: a b\n2 * a b\n")
-        out = rules.seq_phragmen(profile.tally())
+        out = tally_outcome(profile.tally(), SPHR)
         assert set(out.score_table.values()) == {F(1)}
 
     def test_all_empty_profile_degenerates_to_all_pairs(self):
         profile = ApprovalProfile(3, [ApprovalBallot(set(), 2)])
-        assert rules.seq_phragmen(profile.tally()).pair_set == frozenset(rules.all_pairs(profile.m))
+        out = tally_outcome(profile.tally(), SPHR)
+        assert out.pair_set == frozenset(rules.all_pairs(profile.m))
 
     def test_zero_score_candidates_excluded(self):
         profile = parse_profile("candidates: a b c\n2 * a\n1 * a b\n")
-        out = rules.seq_phragmen(profile.tally())
+        out = tally_outcome(profile.tally(), SPHR)
         assert out.pair_set == pairs((A, B))
         assert pair(A, C) not in out.score_table
 
     @given(approval_profiles(fractional=True))
     def test_matches_oracle(self, profile):
-        assert rules.seq_phragmen(profile.tally()).pair_set == oracle_seq_phragmen(profile)
+        assert tally_outcome(profile.tally(), SPHR).pair_set == oracle_seq_phragmen(profile)
 
 
 class TestSplitScores:
     def test_spectrum_split_values(self, spectrum):
-        out = rules.sav(spectrum.tally())
+        out = tally_outcome(spectrum.tally(), SAV)
         assert out.candidate_scores == {A: F(19, 3), B: F(13, 3), C: F(10, 3), D: F(3)}
         assert out.pair_set == pairs((A, B))
         assert out.score_table[pair(A, B)] == F(32, 3)
@@ -269,73 +288,74 @@ class TestSplitScores:
 
     def test_single_ballot(self):
         profile = parse_profile("candidates: a b\n1 * a b\n")
-        out = rules.sav(profile.tally())
+        out = tally_outcome(profile.tally(), SAV)
         assert out.candidate_scores == {0: F(1, 2), 1: F(1, 2)}
         assert out.pair_set == pairs((0, 1))
 
     @given(approval_profiles(fractional=True))
     def test_matches_oracle(self, profile):
-        assert rules.sav(profile.tally()).pair_set == oracle_sav(profile)
+        assert tally_outcome(profile.tally(), SAV).pair_set == oracle_sav(profile)
 
 
 class TestAllPairsRule:
     def test_pair_counts(self):
         four = ApprovalProfile(4, [ApprovalBallot({0})])
         two = ApprovalProfile(2, [ApprovalBallot({0})])
-        assert len(rules.triv(four.tally()).pairs) == 6
-        assert len(rules.triv(two.tally()).pairs) == 1
+        assert len(tally_outcome(four.tally(), TRIV).pairs) == 6
+        assert len(tally_outcome(two.tally(), TRIV).pairs) == 1
 
     @given(approval_profiles(), approval_profiles())
     def test_ignores_ballots(self, p1, p2):
         if p1.m == p2.m:
-            assert rules.triv(p1.tally()).pair_set == rules.triv(p2.tally()).pair_set
+            assert (tally_outcome(p1.tally(), TRIV).pair_set
+                    == tally_outcome(p2.tally(), TRIV).pair_set)
 
 
 class TestCoverageWithTieBreak:
     def test_unique_coverage_pair_unchanged(self, spectrum):
         assert (
-            rules.ccav_plus(spectrum.tally()).pair_set
-            == rules.alpha_av(spectrum.tally(), 1).pair_set
+            tally_outcome(spectrum.tally(), CCAV_PLUS).pair_set
+            == tally_outcome(spectrum.tally(), CCAV).pair_set
             == pairs((A, D))
         )
 
     def test_tie_broken_by_plain_sum(self):
         profile = parse_profile("candidates: a b c\n1 * a\n1 * b\n1 * c\n1 * a b\n")
-        coverage = rules.alpha_av(profile.tally(), 1)
+        coverage = tally_outcome(profile.tally(), CCAV)
         assert coverage.pair_set == pairs((A, B), (A, C), (B, C))
-        assert rules.ccav_plus(profile.tally()).pair_set == pairs((A, B))
+        assert tally_outcome(profile.tally(), CCAV_PLUS).pair_set == pairs((A, B))
 
     @given(approval_profiles(fractional=True))
     def test_refines_the_coverage_rule(self, profile):
-        kept = rules.ccav_plus(profile.tally()).pair_set
-        coverage = rules.alpha_av(profile.tally(), 1)
+        kept = tally_outcome(profile.tally(), CCAV_PLUS).pair_set
+        coverage = tally_outcome(profile.tally(), CCAV)
         assert kept <= coverage.pair_set
-        plain = rules.alpha_av(profile.tally(), 0).score_table
+        plain = tally_outcome(profile.tally(), MAV).score_table
         best = max(plain[p] for p in coverage.pair_set)
         assert kept == {p for p in coverage.pair_set if plain[p] == best}
 
 
 class TestDispatch:
     def test_named_aliases(self, spectrum):
-        for name, direct in [
-            ("mav", rules.alpha_av(spectrum.tally(), 0)),
-            ("pav", rules.alpha_av(spectrum.tally(), F(1, 2))),
-            ("ccav", rules.alpha_av(spectrum.tally(), 1)),
-            ("2av", rules.alpha_av(spectrum.tally(), 2)),
-            ("spav", rules.alpha_seq_av(spectrum.tally(), F(1, 2))),
-            ("sccav", rules.alpha_seq_av(spectrum.tally(), 1)),
-            ("sphr", rules.seq_phragmen(spectrum.tally())),
-            ("sav", rules.sav(spectrum.tally())),
-            ("triv", rules.triv(spectrum.tally())),
-            ("ccav+", rules.ccav_plus(spectrum.tally())),
+        for name, spec in [
+            ("mav", av(0)),
+            ("pav", av(F(1, 2))),
+            ("ccav", av(1)),
+            ("2av", av(2)),
+            ("spav", seq(F(1, 2))),
+            ("sccav", seq(1)),
+            ("sphr", RuleSpec("seq-phragmen")),
+            ("sav", RuleSpec("sav")),
+            ("triv", RuleSpec("triv")),
+            ("ccav+", RuleSpec("ccav-plus")),
         ]:
-            via_spec = evaluate(spectrum, RuleSpec.named(name))
-            assert via_spec.pair_set == direct.pair_set
+            via_name = evaluate(spectrum, RuleSpec.named(name))
+            assert via_name.pair_set == tally_outcome(spectrum.tally(), spec).pair_set
 
     def test_parameterized_names(self, spectrum):
         assert (
             evaluate(spectrum, RuleSpec.named("alpha-av:1/2")).pair_set
-            == rules.alpha_av(spectrum.tally(), F(1, 2)).pair_set
+            == tally_outcome(spectrum.tally(), av(F(1, 2))).pair_set
         )
         assert (
             evaluate(spectrum, RuleSpec.named("enephr")).pair_set == pairs((A, C))
@@ -346,21 +366,36 @@ class TestDispatch:
             RuleSpec.named("borda")
 
     def test_spec_validation(self):
-        with pytest.raises(InputError):
-            RuleSpec("alpha-seq", alpha=F(3, 2))
-        with pytest.raises(InputError):
-            RuleSpec("enestrom-phragmen")
-        with pytest.raises(InputError):
-            RuleSpec("enestrom-phragmen", beta=F(3, 2))
+        # a spec checks its parameters once, when it is built
+        for params in ({"kind": "alpha-seq", "alpha": F(3, 2)},
+                       {"kind": "enestrom-phragmen"},
+                       {"kind": "enestrom-phragmen", "beta": F(3, 2)}):
+            with pytest.raises(InputError):
+                RuleSpec(**params)
 
     def test_direct_calls_check_their_parameters(self, spectrum):
-        # a spec checks its parameters once; the rule functions called
-        # without one still check theirs
-        for call in (lambda t: rules.alpha_av(t, -1), lambda t: rules.alpha_seq_av(t, 2),
-                     lambda t: rules.enestrom_phragmen(t, quota=1, beta=F(1, 3)),
-                     lambda t: rules.enestrom_phragmen(t, beta=F(3, 2))):
+        # a rule runs on a tally only through tally_outcome and a spec, so a
+        # bad parameter fails before the rule runs; a quota above the total
+        # ballot weight can only be seen on the tally
+        for call in (lambda t: tally_outcome(t, RuleSpec("alpha-av", alpha=-1)),
+                     lambda t: tally_outcome(t, RuleSpec("alpha-seq", alpha=2)),
+                     lambda t: tally_outcome(t, RuleSpec("enestrom-phragmen", quota=1,
+                                                         beta=F(1, 3))),
+                     lambda t: tally_outcome(t, RuleSpec("enestrom-phragmen",
+                                                         beta=F(3, 2))),
+                     lambda t: tally_outcome(t, RuleSpec("enestrom-phragmen",
+                                                         quota=t.total + 1))):
             with pytest.raises(InputError):
                 call(spectrum.tally())
+
+    def test_a_rule_runs_only_through_its_spec(self):
+        # the rule functions are private, and the one public callable that
+        # runs a rule on a tally is tally_outcome (evaluate is it on a profile)
+        assert all(rule.fn.__name__.startswith("_") for rule in rules.RULES)
+        runners = {name for name, obj in vars(rules).items()
+                   if not name.startswith("_") and inspect.isfunction(obj)
+                   and typing.get_type_hints(obj).get("return") is RuleOutcome}
+        assert runners == {"evaluate", "tally_outcome"}
 
     def test_a_copied_spec_hashes_as_a_new_one(self):
         # a spec is rebuilt when pickled: a string's hash is per process
@@ -409,9 +444,9 @@ class TestBreakpoints:
     def test_crossings_verified_on_both_sides(self, spectrum):
         eps = F(1, 1000)
         for bp in rules.alpha_av_breakpoints(spectrum.tally()):
-            below = rules.alpha_av(spectrum.tally(), bp - eps).pair_set
-            at = rules.alpha_av(spectrum.tally(), bp).pair_set
-            above = rules.alpha_av(spectrum.tally(), bp + eps).pair_set
+            below = tally_outcome(spectrum.tally(), av(bp - eps)).pair_set
+            at = tally_outcome(spectrum.tally(), av(bp)).pair_set
+            above = tally_outcome(spectrum.tally(), av(bp + eps)).pair_set
             assert below != above
             assert at == below | above
 
@@ -420,15 +455,15 @@ class TestBreakpoints:
         points = [F(0)] + rules.alpha_av_breakpoints(profile.tally()) + [F(1)]
         for lo, hi in zip(points, points[1:]):
             third = (hi - lo) / 3
-            left = rules.alpha_av(profile.tally(), lo + third).pair_set
-            right = rules.alpha_av(profile.tally(), hi - third).pair_set
+            left = tally_outcome(profile.tally(), av(lo + third)).pair_set
+            right = tally_outcome(profile.tally(), av(hi - third)).pair_set
             assert left == right
 
     @given(approval_profiles(fractional=True),
            st.builds(F, st.integers(0, 12), st.integers(12, 12)))
     def test_scores_affine_in_alpha(self, profile, alpha):
-        at0 = rules.alpha_av(profile.tally(), 0).score_table
-        at1 = rules.alpha_av(profile.tally(), 1).score_table
-        now = rules.alpha_av(profile.tally(), alpha).score_table
+        at0 = tally_outcome(profile.tally(), MAV).score_table
+        at1 = tally_outcome(profile.tally(), CCAV).score_table
+        now = tally_outcome(profile.tally(), av(alpha)).score_table
         for p in now:
             assert now[p] == at0[p] + alpha * (at1[p] - at0[p])

@@ -24,7 +24,7 @@ from avrunoff.rules import (
     RuleSpec,
     evaluate,
 )
-from avrunoff.runoff import avr, triv_runoff_winners
+from avrunoff.runoff import avr
 from conftest import ranked_profiles
 
 A, B, C, D = 0, 1, 2, 3
@@ -74,24 +74,24 @@ class TestRunoffComposition:
 class TestAllPairsRunoff:
     def test_ranked_spectrum_excludes_only_the_all_loser(self, spectrum_ranked):
         # c loses every pairwise contest (d beats it 9-8), so c alone is out
-        assert triv_runoff_winners(spectrum_ranked) == {A, B, D}
+        assert avr(spectrum_ranked, TRIV).winners == {A, B, D}
 
     def test_no_loser_means_everyone_wins(self):
         profile = random_ranked_profile(random.Random(3), max_m=4, max_n=6)
         loser = profile.condorcet_loser()
-        winners = triv_runoff_winners(profile)
+        winners = avr(profile, TRIV).winners
         if loser is None:
             assert winners == frozenset(range(profile.m))
 
     @given(ranked_profiles(max_m=2))
     def test_two_candidates_reduce_to_majority(self, profile):
-        assert triv_runoff_winners(profile) == profile.majority_winners(0, 1)
+        assert avr(profile, TRIV).winners == profile.majority_winners(0, 1)
 
     @given(ranked_profiles())
     def test_all_pairs_runoff_complements_condorcet_loser(self, profile):
         loser = profile.condorcet_loser()
         expected = frozenset(range(profile.m)) - ({loser} if loser is not None else set())
-        assert triv_runoff_winners(profile) == expected
+        assert avr(profile, TRIV).winners == expected
 
     def test_thousand_random_profiles(self):
         rng = random.Random(20257)
@@ -101,7 +101,7 @@ class TestAllPairsRunoff:
             expected = frozenset(range(profile.m)) - (
                 {loser} if loser is not None else set()
             )
-            assert triv_runoff_winners(profile) == expected
+            assert avr(profile, TRIV).winners == expected
 
 
 # --- differential oracle: every rule and the runoff against the plain

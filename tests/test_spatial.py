@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from avrunoff import spatial
 from avrunoff.profiles import InputError
-from avrunoff.rules import CandidatePair, alpha_seq_av
+from avrunoff.rules import CandidatePair, RuleSpec, tally_outcome
 
 F = Fraction
 
@@ -204,7 +204,7 @@ class TestFastPathEquivalence:
         )
         report = spatial.empirical_second_finalist(config, alpha)
         profile = spatial.sample_profile(config)
-        outcome = alpha_seq_av(profile.as_approval().tally(), alpha)
+        outcome = tally_outcome(profile.as_approval().tally(), RuleSpec("alpha-seq", alpha=alpha))
         grid = spatial.candidate_positions(config)
         scores = profile.as_approval().score_vector()
         x1s = outcome.first_stage
