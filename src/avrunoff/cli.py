@@ -143,15 +143,23 @@ def _fmt_score(score) -> str:
     return str(score)
 
 
+def _specs(names: list[str], quota_beta) -> list[RuleSpec]:
+    """The spec of each rule name, `quota_beta` setting the beta of those
+    with one; a `--quota-beta` that none of them reads is an input error."""
+    specs = [RuleSpec.named(name, quota_beta=quota_beta) for name in names]
+    if quota_beta is not None and all(spec.beta is None for spec in specs):
+        raise InputError(f"--quota-beta given, but no rule named ({', '.join(names)}) "
+                         "has a beta")
+    return specs
+
+
 def cmd_score(args) -> int:
     V = _load_document(args.profile).profile
     names = [n.strip() for n in args.rule.split(",") if n.strip()]
     if not names:
         raise InputError(f"--rule {args.rule!r} names no rule")
-    outcomes = {}
-    for name in names:
-        spec = RuleSpec.named(name, quota_beta=args.quota_beta)
-        outcomes[name] = rules.evaluate(V, spec)
+    outcomes = {name: rules.evaluate(V, spec)
+                for name, spec in zip(names, _specs(names, args.quota_beta))}
     pairs = sorted({p for o in outcomes.values() for p in o.score_table})
     if args.format == "json":
         payload = {
@@ -188,14 +196,14 @@ def cmd_score(args) -> int:
 
 def cmd_finalists(args) -> int:
     V = _load_document(args.profile).profile
-    outcome = rules.evaluate(V, RuleSpec.named(args.rule, quota_beta=args.quota_beta))
+    outcome = rules.evaluate(V, *_specs([args.rule], args.quota_beta))
     _emit(args, "\n".join(_fmt_pair(p, V.labels) for p in outcome.pairs) + "\n")
     return EXIT_OK
 
 
 def cmd_winner(args) -> int:
     profile = _load_document(args.profile).profile
-    result = avr(profile, RuleSpec.named(args.rule, quota_beta=args.quota_beta))
+    result = avr(profile, *_specs([args.rule], args.quota_beta))
     _emit(args, " ".join(profile.labels[c] for c in sorted(result.winners)) + "\n")
     return EXIT_OK
 
@@ -213,13 +221,16 @@ def cmd_sweep_alpha(args) -> int:
     for a in points:
         av = rules.tally_outcome(tally, RuleSpec("alpha-av", alpha=a))
         seq = rules.tally_outcome(tally, RuleSpec("alpha-seq", alpha=a))
-        x1 = seq.first_stage[0]
-        curve = {
-            y: seq.score_table[CandidatePair.of(x1, y)] - Fraction(tally.scores[x1], tally.denom)
-            for y in range(V.m)
-            if y != x1
-        }
-        grid.append((a, av.pairs, seq.pairs, x1, curve))
+        # one second-seat curve per tied approval winner, since seq_pairs
+        # unions their branches: one JSON entry and CSV row per branch
+        for x1 in seq.first_stage:
+            curve = {
+                y: seq.score_table[CandidatePair.of(x1, y)]
+                - Fraction(tally.scores[x1], tally.denom)
+                for y in range(V.m)
+                if y != x1
+            }
+            grid.append((a, av.pairs, seq.pairs, x1, curve))
     if args.format == "json":
         payload = {
             "breakpoints": [str(b) for b in breakpoints],
@@ -250,7 +261,8 @@ def cmd_sweep_alpha(args) -> int:
         _emit(args, _csv_text(table))
         return EXIT_OK
     lines = ["argmax changes at: " + (", ".join(str(b) for b in breakpoints) or "never")]
-    for a, av_pairs, seq_pairs, x1, curve in grid:
+    # one line per alpha, whatever its number of branches
+    for a, (av_pairs, seq_pairs) in {a: (av, seq) for a, av, seq, _, _ in grid}.items():
         lines.append(
             f"alpha={a}  av={' '.join(_fmt_pair(p, V.labels) for p in av_pairs)}  "
             f"seq={' '.join(_fmt_pair(p, V.labels) for p in seq_pairs)}"

@@ -29,6 +29,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
     _trusted,
+    _with_weight,
     as_weight,
     exact,
 )
@@ -51,18 +52,24 @@ class ProfileDocument:
 def parse_document(text: str) -> ProfileDocument:
     """Parse ballot text; a malformed line raises ParseError with its number.
 
-    Each distinct weight text and ballot body is checked once, at its first
-    line, and the ballots of equal bodies share their ranking and approved set.
+    Each distinct line is read once, equal lines share one ballot and equal
+    bodies share its ranking and approved set. Each line's own syntax is
+    checked first, then bar and no-bar lines mixed, then the labels, each
+    at the first line where it fails.
     """
     labels: Optional[list[str]] = None
     weights: dict[str, Fraction] = {}
-    rows = []  # (lineno, weight, body, reported label or None)
+    read: dict[str, tuple] = {}  # ballot line -> (first line number, weight, body, reported)
+    lines = []  # the ballot lines, in order
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if raw in read:
+            lines.append(raw)
+            continue
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("candidates:"):
-            if rows or labels is not None:
+            if lines or labels is not None:
                 raise ParseError("candidates: header must come first", lineno)
             labels = line[len("candidates:"):].split()
             if len(set(labels)) != len(labels):
@@ -84,57 +91,58 @@ def parse_document(text: str) -> ProfileDocument:
                 raise ParseError(str(exc), lineno) from exc
         if line.count("|") > 1:
             raise ParseError("more than one bar", lineno)
-        rows.append((lineno, weights[wtext], line.strip(), reported))
+        read[raw] = (lineno, weights[wtext], line.strip(), reported)
+        lines.append(raw)
 
-    if not rows:
+    if not lines:
         if labels is None:
             raise ParseError("no ballots found")
         return ProfileDocument(ApprovalProfile(len(labels), [], labels), ())
-    ranked = "|" in rows[0][2]
-    for lineno, _, body, _ in rows:
+    ranked = "|" in read[lines[0]][2]
+    for lineno, _, body, _ in read.values():  # in order of first lines
         if ("|" in body) != ranked:
             raise ParseError("cannot mix ranked (bar) and approval-only lines", lineno)
 
     if labels is None:
-        seen = {reported for *_, reported in rows if reported}
-        for body in {body for _, _, body, _ in rows}:
-            seen.update(body.replace("|", " ").split())
-        labels = sorted(seen)
+        labels = sorted({lab for _, _, body, reported in read.values()
+                         for lab in (*body.replace("|", " ").split(), reported) if lab})
     ids = {lab: i for i, lab in enumerate(labels)}
-    m = len(labels)
-
-    def lookup(lab: str, lineno: int) -> int:
-        try:
-            return ids[lab]
-        except KeyError:
-            raise ParseError(f"unknown candidate label {lab!r}", lineno) from None
-
-    kind = RankedBallot if ranked else ApprovalBallot
-    checked: dict[str, dict] = {}  # body -> the fields of its ballots
-    ballots, reported_votes = [], []
-    for lineno, weight, body, reported in rows:
-        fields = checked.get(body)
-        if fields is None:
-            prefix, _, suffix = body.partition("|")
-            prefix, suffix = prefix.split(), suffix.split()
-            names = prefix + suffix
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate candidate in ballot", lineno)
-            approved = [lookup(lab, lineno) for lab in prefix]
-            fields = {"approved": frozenset(approved)}
-            if ranked:
-                ranking = approved + [lookup(lab, lineno) for lab in suffix]
-                if len(ranking) != m:
-                    raise ParseError("ranking is not a permutation of all candidates", lineno)
-                fields["ranking"] = tuple(ranking)
-            checked[body] = fields
-        ballots.append(_trusted(kind, weight=weight, **fields))
-        reported_votes.append(lookup(reported, lineno) if reported else None)
-
+    first: dict = {}  # body -> the ballot of its first line
+    ballots, votes = {}, {}  # ballot line -> its ballot, its reported id or None
+    for raw, (lineno, weight, body, reported) in read.items():
+        if body in first:
+            ballots[raw] = _with_weight(first[body], weight)
+        else:
+            ballots[raw] = first[body] = _body_ballot(body, weight, ids, ranked, lineno)
+        if reported and reported not in ids:
+            raise ParseError(f"unknown candidate label {reported!r}", lineno)
+        votes[raw] = ids[reported] if reported else None
     # the ballots fit: every ranking is a permutation of the labels
-    profile = _trusted(RankedProfile if ranked else ApprovalProfile,
-                       m=m, ballots=tuple(ballots), labels=tuple(labels))
-    return ProfileDocument(profile, tuple(reported_votes))
+    profile = _trusted(RankedProfile if ranked else ApprovalProfile, m=len(labels),
+                       ballots=tuple(map(ballots.__getitem__, lines)), labels=tuple(labels))
+    return ProfileDocument(profile, tuple(map(votes.__getitem__, lines)))
+
+
+def _body_ballot(body: str, weight: Fraction, ids: Mapping[str, int], ranked: bool,
+                 lineno: int):
+    """The ballot of a body, or ParseError: a duplicate label first, then
+    the first unknown one, then a ranking that is not of every label."""
+    prefix, _, suffix = body.partition("|")
+    names = prefix.split()
+    approvals = len(names)
+    names += suffix.split()
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate candidate in ballot", lineno)
+    try:
+        ranking = tuple(map(ids.__getitem__, names))
+    except KeyError as exc:
+        raise ParseError(f"unknown candidate label {exc.args[0]!r}", lineno) from None
+    if not ranked:
+        return _trusted(ApprovalBallot, approved=frozenset(ranking), weight=weight)
+    if len(ranking) != len(ids):
+        raise ParseError("ranking is not a permutation of all candidates", lineno)
+    return _trusted(RankedBallot, ranking=ranking, approved=frozenset(ranking[:approvals]),
+                    weight=weight)
 
 
 def parse_profile(text: str) -> Profile:
@@ -219,9 +227,20 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
     if kept == 0:
         raise InputError("debiasing zeroed out the profile")
     factors = {rep: targets[rep] * n / (share * kept) for rep, share in sample.items()}
-    groups = list(zip(ints, spec.reported))
-    products = {(w, rep): Fraction(w, denom) * factors[rep] for w, rep in set(groups)}
-    return profile._reweighted(map(products.__getitem__, groups))
+    # groups with one (weight, reported vote) share the new weight, and
+    # groups with one (ballot, reported vote) the new ballot
+    products = {rep: {} for rep in sample}  # reported vote -> weight -> new weight
+    made, ballots = {}, []
+    for b, w, rep in zip(profile.ballots, ints, spec.reported):
+        key = id(b), rep
+        new = made.get(key)
+        if new is None:
+            scaled = products[rep]
+            if w not in scaled:
+                scaled[w] = Fraction(w, denom) * factors[rep]
+            new = made[key] = _with_weight(b, scaled[w])
+        ballots.append(new)
+    return _trusted(type(profile), m=profile.m, ballots=tuple(ballots), labels=profile.labels)
 
 
 @dataclass(frozen=True)

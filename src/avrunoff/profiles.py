@@ -10,6 +10,7 @@ denominator of the weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -54,6 +55,13 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _with_weight(ballot, weight: Fraction):
+    """`ballot` with a new weight, already a nonnegative Fraction."""
+    new = object.__new__(type(ballot))
+    new.__dict__.update(ballot.__dict__, weight=weight)
+    return new
 
 
 @dataclass(frozen=True)
@@ -164,25 +172,29 @@ class Tally(NamedTuple):
 
     @classmethod
     def of(cls, m: int, groups: Iterable[tuple[frozenset[int], int]], denom: int) -> "Tally":
-        """The tally of m candidates from (approval set, integer weight over
-        `denom`) groups, merged by approval set first."""
+        """The tally of m candidates from (approval set, nonnegative integer
+        weight over `denom`) groups, merged by approval set first; a row of
+        `joint` is one packed int (`_packed`), so a set costs O(|set|)."""
         merged: dict = {}
         for approved, w in groups:
             merged[approved] = merged.get(approved, 0) + w
-        joint = [[0] * m for _ in range(m)]
-        split = [0] * m
+        total = sum(merged.values())
+        unit, unpack = _packed(m, total.bit_length() + 1)
+        rows, split = [0] * m, [0] * m
         sizes = math.lcm(*(len(a) for a in merged if a))
         for approved, w in merged.items():
             if not (w and approved):
                 continue
-            share = w * (sizes // len(approved))
+            row = 0
+            for y in approved:
+                row += unit[y]
+            row, share = w * row, w * (sizes // len(approved))
             for x in approved:
-                row = joint[x]
-                for y in approved:
-                    row[y] += w
+                rows[x] += row
                 split[x] += share
-        return cls(denom, sum(merged.values()), tuple(joint[c][c] for c in range(m)),
-                   tuple(map(tuple, joint)), tuple(split), denom * sizes)
+        joint = unpack(rows)
+        return cls(denom, total, tuple(joint[c][c] for c in range(m)), joint, tuple(split),
+                   denom * sizes)
 
     def moved(self, old: frozenset[int], new: frozenset[int]) -> "Tally":
         """The tally with one voter (weight 1) moved from approving `old` to
@@ -203,6 +215,21 @@ class Tally(NamedTuple):
         joint = tuple(tuple(rows[x]) if x in rows else r for x, r in enumerate(self.joint))
         return Tally(self.denom, self.total, tuple(scores), joint, tuple(split),
                      self.split_denom * scale)
+
+
+@functools.lru_cache(maxsize=256)
+def _packed(m: int, width: int) -> tuple[tuple[int, ...], Callable]:
+    """A row of m counts as one int of m fields of `width` bits: `unit[y]`
+    adds 1 to field y, and `unpack` reads m rows back as an m × m tuple.
+    Counts of nonnegative weights totalling T never carry at width
+    bit_length(T) + 1."""
+    shifts, mask = range(0, width * m, width), (1 << width) - 1
+
+    def unpack(rows: list[int]) -> tuple[tuple[int, ...], ...]:
+        fields = iter([(row >> s) & mask for row in rows for s in shifts])
+        return tuple(zip(*[fields] * m))  # m fields at a time
+
+    return tuple(1 << s for s in shifts), unpack
 
 
 def majority_outcome(a: int, b: int, margin) -> frozenset[int]:
@@ -265,7 +292,7 @@ class _Profile:
         """The group weights as integers over their least common
         denominator (cached): what the tally and the margins count."""
         def compute():
-            denom = math.lcm(*(b.weight.denominator for b in self.ballots))
+            denom = math.lcm(*{b.weight.denominator for b in self.ballots})
             return [b.weight.numerator * (denom // b.weight.denominator)
                     for b in self.ballots], denom
         return self._derived("ints", compute)
@@ -280,13 +307,8 @@ class _Profile:
 
     def with_weights(self, weights: Iterable):
         """The same ballot groups, in order, with new weights."""
-        return self._reweighted(map(as_weight, weights))
-
-    def _reweighted(self, weights: Iterable[Fraction]):
-        """`with_weights` for weights that are already nonnegative Fractions."""
-        ballots = (_trusted(type(b), **{**b.__dict__, "weight": w})
-                   for b, w in zip(self.ballots, weights))
-        return _trusted(type(self), m=self.m, ballots=tuple(ballots), labels=self.labels)
+        ballots = tuple(map(_with_weight, self.ballots, map(as_weight, weights)))
+        return _trusted(type(self), m=self.m, ballots=ballots, labels=self.labels)
 
     def scaled(self, factor):
         factor = exact(factor, "factor")
@@ -369,18 +391,22 @@ class RankedProfile(_Profile):
     def _margins(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """margins[a][b] = W(a≻b) − W(b≻a), as integers over the common
         denominator (cached): one pass over the ballot groups, merged by
-        ranking first, then one subtraction of the transpose."""
+        ranking first, then one subtraction of the transpose. W(x≻·) is one
+        packed int (`_packed`): from the bottom of a ranking up, x gains the
+        weight times the row of those below it, O(m) per ranking."""
         def compute():
             ints, denom = self._int_weights()
             merged: dict = {}
             for b, w in zip(self.ballots, ints):
                 merged[b.ranking] = merged.get(b.ranking, 0) + w
-            above = [[0] * self.m for _ in range(self.m)]
+            unit, unpack = _packed(self.m, sum(merged.values()).bit_length() + 1)
+            above = [0] * self.m
             for ranking, w in merged.items():
-                for i, x in enumerate(ranking):
-                    row = above[x]
-                    for y in ranking[i + 1:]:
-                        row[y] += w
+                below = 0
+                for x in reversed(ranking):
+                    above[x] += w * below
+                    below += unit[x]
+            above = unpack(above)
             return tuple(tuple(ab - ba for ab, ba in zip(row, col))
                          for row, col in zip(above, zip(*above))), denom
         return self._derived("margins", compute)
@@ -440,7 +466,7 @@ class RankedProfile(_Profile):
         if old.weight == 1:
             ballots[index] = unit
         else:
-            ballots[index] = _trusted(RankedBallot, **{**old.__dict__, "weight": old.weight - 1})
+            ballots[index] = _with_weight(old, old.weight - 1)
             ballots.append(unit)
         return _trusted(RankedProfile, m=self.m, ballots=tuple(ballots), labels=self.labels)
 

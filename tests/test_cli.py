@@ -100,6 +100,33 @@ class TestSweepAlpha:
         assert header[:4] == ["alpha", "av_pairs", "seq_pairs", "seq:a"]
 
 
+    def test_tied_first_stage_gives_one_curve_per_branch(self, capsys, tmp_path):
+        # a, b and c tie at 2: seq_pairs unions the three branches, and each
+        # branch's curve is printed, so that every listed pair is explained
+        profile = tmp_path / "tied.avr"
+        profile.write_text("candidates: a b c\n2 * a c\n2 * b\n")
+        code, out, _ = run(capsys, "sweep-alpha", "--profile", str(profile),
+                           "--points", "2", "--format", "json")
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        assert [(g["alpha"], g["first"]) for g in grid] == [
+            ("0", "a"), ("0", "b"), ("0", "c"), ("1", "a"), ("1", "b"), ("1", "c")]
+        at_one = {g["first"]: g for g in grid if g["alpha"] == "1"}
+        assert at_one["a"]["seq_pairs"] == ["{a,b}", "{b,c}"]
+        assert {first: g["second_seat_scores"] for first, g in at_one.items()} == {
+            "a": {"b": "2", "c": "0"}, "b": {"a": "2", "c": "2"}, "c": {"a": "0", "b": "2"}}
+        code, out, _ = run(capsys, "sweep-alpha", "--profile", str(profile),
+                           "--points", "2", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[4:] == ['1,"{a,b};{b,c}","{a,b};{b,c}",,2,0',
+                                        '1,"{a,b};{b,c}","{a,b};{b,c}",2,,2',
+                                        '1,"{a,b};{b,c}","{a,b};{b,c}",0,2,']
+        code, out, _ = run(capsys, "sweep-alpha", "--profile", str(profile), "--points", "2")
+        assert out.splitlines() == ["argmax changes at: never",
+                                    "alpha=0  av={a,b} {a,c} {b,c}  seq={a,b} {a,c} {b,c}",
+                                    "alpha=1  av={a,b} {b,c}  seq={a,b} {b,c}"]
+
+
 class TestSimulate:
     def test_small_run_deterministic(self, capsys, tmp_path):
         args = ("simulate", "--d", "0.25", "--alphas", "0.2,0.5",
@@ -381,6 +408,30 @@ class TestExitCodes:
         code, out, err = run(capsys, "debias", "--profile", SURVEY, "--targets", str(targets))
         assert (code, out) == (1, "")
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,named", [
+        (("finalists", "--profile", SPECTRUM, "--rule", "mav", "--quota-beta", "2"), "(mav)"),
+        (("finalists", "--profile", SPECTRUM, "--rule", "alpha-av:1/4", "--quota-beta", "1/4"),
+         "(alpha-av:1/4)"),
+        (("winner", "--profile", RANKED, "--rule", "triv", "--quota-beta", "0"), "(triv)"),
+        (("score", "--profile", SPECTRUM, "--quota-beta", "1/4"), "(mav, pav, ccav, sphr, sav)"),
+        (("score", "--profile", SPECTRUM, "--rule", "sphr,sav", "--quota-beta", "1"),
+         "(sphr, sav)"),
+    ], ids=["finalists", "finalists-alpha", "winner", "score-default", "score-list"])
+    def test_quota_beta_for_no_rule_with_a_beta(self, capsys, argv, named):
+        # a --quota-beta that no named rule reads is rejected, not dropped
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --quota-beta given, but no rule named {named} has a beta\n"
+
+    def test_quota_beta_sets_the_beta_of_the_rules_with_one(self, capsys):
+        code, out, _ = run(capsys, "score", "--profile", SPECTRUM, "--rule", "mav,enephr",
+                           "--quota-beta", "1/4", "--format", "json")
+        assert code == 0
+        enephr = json.loads(out)["enephr"]
+        assert enephr == json.loads(run(capsys, "score", "--profile", SPECTRUM, "--rule",
+                                        "enephr", "--quota-beta", "1/4",
+                                        "--format", "json")[1])["enephr"]
 
     @pytest.mark.parametrize("names", [",,", " , "])
     def test_score_naming_no_rule(self, capsys, names):

@@ -28,7 +28,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
 )
-from conftest import approval_profiles, ranked_profiles
+from conftest import DATA, approval_profiles, ranked_profiles
 
 F = Fraction
 A, B, C, D = 0, 1, 2, 3
@@ -154,6 +154,100 @@ class TestParseOncePerDocument:
         assert first.approved is second.approved is third.approved
         assert (first.weight, second.weight, third.weight) == (1, 2, 2)
         assert doc.reported == (None, 1, None)
+
+
+# (case, text, message, line): every check of the parser, and which of two
+# failing lines it reports. A line's own syntax (header, reported vote,
+# weight, bars) is checked on every line first, then bar and no-bar lines
+# mixed, then the labels; each reports the first line at which it fails.
+PARSE_ERRORS = [
+    ("unknown-in-prefix", "candidates: a b c\n1 * a x | b c\n",
+     "line 2: unknown candidate label 'x'", 2),
+    ("unknown-in-suffix", "candidates: a b c\n1 * a | b x\n",
+     "line 2: unknown candidate label 'x'", 2),
+    ("unknown-reported", "candidates: a b c\n1 * a | b c\n2 * b | a c @ x\n",
+     "line 3: unknown candidate label 'x'", 3),
+    ("unknown-approval-only", "candidates: a b\n1 * a x\n",
+     "line 2: unknown candidate label 'x'", 2),
+    ("duplicate-before-unknown", "candidates: a b c\n1 * x a | a b\n",
+     "line 2: duplicate candidate in ballot", 2),
+    ("one-unknown-label-twice", "candidates: a b c\n1 * a y | b y\n",
+     "line 2: duplicate candidate in ballot", 2),
+    ("two-bars", "candidates: a b\n1 * a | b |\n",
+     "line 2: more than one bar", 2),
+    ("mixed", "candidates: a b\n1 * a | b\n2 * a b\n",
+     "line 3: cannot mix ranked (bar) and approval-only lines", 3),
+    ("mixed-no-bar-first", "candidates: a b\n2 * a b\n1 * a | b\n",
+     "line 3: cannot mix ranked (bar) and approval-only lines", 3),
+    ("late-header", "1 * a | b\ncandidates: a b\n",
+     "line 2: candidates: header must come first", 2),
+    ("second-header", "candidates: a b\ncandidates: a b\n1 * a | b\n",
+     "line 2: candidates: header must come first", 2),
+    ("duplicate-header-label", "candidates: a b a\n1 * a | b\n",
+     "line 1: duplicate label in candidates: header", 1),
+    ("bad-weight", "candidates: a b\n1 * a | b\nx * b | a\n",
+     "line 3: bad weight 'x'", 3),
+    ("zero-denominator", "candidates: a b\n1/0 * a | b\n",
+     "line 2: bad weight '1/0'", 2),
+    ("negative-weight", "candidates: a b\n-2 * a | b\n",
+     "line 2: negative weight '-2'", 2),
+    ("not-a-permutation", "candidates: a b c\n1 * a | b\n",
+     "line 2: ranking is not a permutation of all candidates", 2),
+    ("two-label-reported", "candidates: a b\n1 * a | b @ a b\n",
+     "line 2: reported vote must be a single label", 2),
+    ("empty-reported", "candidates: a b\n1 * a | b @\n",
+     "line 2: reported vote must be a single label", 2),
+    ("weight-error-after-label-error", "candidates: a b\n1 * a | z\n-1 * b | a\n",
+     "line 3: negative weight '-1'", 3),
+    ("mix-error-after-label-error", "candidates: a b\n1 * a | z\n2 * a b\n",
+     "line 3: cannot mix ranked (bar) and approval-only lines", 3),
+    ("reported-before-later-body", "candidates: a b\n1 * a | b @ q\n1 * a | q\n",
+     "line 2: unknown candidate label 'q'", 2),
+    ("body-before-reported-on-one-line", "candidates: a b\n1 * a | q @ z\n",
+     "line 2: unknown candidate label 'q'", 2),
+    ("repeated-line-reports-first",
+     "candidates: a b\n1 * b | a\n3 * a | b @ z\n1 * b | a\n3 * a | b @ z\n",
+     "line 3: unknown candidate label 'z'", 3),
+    ("repeated-body-other-weight", "candidates: a b\n1 * a b | \n2 * a a |\n1 * a a |\n",
+     "line 3: duplicate candidate in ballot", 3),
+    ("no-header-unknown-impossible", "1 * a | b\n1 * b | a @ c\n1 * c | a b\n",
+     "line 1: ranking is not a permutation of all candidates", 1),
+    ("no-ballots", "# nothing\n\n",
+     "no ballots found", None),
+    ("comment-hides-error", "candidates: a b\n1 * a | b # @ a b | |\n2 * b | z\n",
+     "line 3: unknown candidate label 'z'", 3),
+]
+
+
+class TestParseErrorContract:
+    @pytest.mark.parametrize("text,message,line", [c[1:] for c in PARSE_ERRORS],
+                             ids=[c[0] for c in PARSE_ERRORS])
+    def test_message_and_line(self, text, message, line):
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert (str(exc.value), exc.value.line) == (message, line)
+
+    @pytest.mark.parametrize("name", ["spectrum.avr", "spectrum_ranked.avr",
+                                      "synthetic_survey.avr"])
+    def test_fixtures_parse_to_their_lines(self, name):
+        # each fixture line, read by hand, is one ballot group in file order
+        lines = [raw.partition("#")[0].strip() for raw in (DATA / name).read_text().splitlines()]
+        header, *groups = filter(None, lines)
+        labels = header.removeprefix("candidates:").split()
+        ids = {lab: i for i, lab in enumerate(labels)}
+        doc = parse_document((DATA / name).read_text())
+        assert doc.profile.labels == tuple(labels)
+        assert len(doc.profile.ballots) == len(doc.reported) == len(groups)
+        ranked = isinstance(doc.profile, RankedProfile)
+        for line, ballot, reported in zip(groups, doc.profile.ballots, doc.reported):
+            line, _, rep = line.partition("@")
+            weight, _, body = line.partition("*")
+            prefix, _, suffix = body.partition("|")
+            assert ballot.weight == F(weight.strip())
+            assert ballot.approved == {ids[lab] for lab in prefix.split()}
+            if ranked:
+                assert ballot.ranking == tuple(ids[lab] for lab in (prefix + suffix).split())
+            assert reported == (ids[rep.strip()] if rep.strip() else None)
 
 
 # weight texts, some denoting equal values, some zero or fractional

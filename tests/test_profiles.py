@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -5,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avrunoff.fileio import parse_profile
+from avrunoff.fileio import DebiasSpec, debias, parse_profile
 from avrunoff.profiles import (
     ApprovalBallot,
     ApprovalProfile,
     InputError,
     RankedBallot,
     RankedProfile,
+    Tally,
 )
 from avrunoff.rules import MAV, evaluate
 from conftest import approval_profiles, ranked_profiles, tally_values
@@ -294,6 +297,123 @@ class TestMovedTally:
         moved = profile.tally().moved(profile.ballots[i].approved, new)
         expected = profile.replace_ballot(i, RankedBallot(ranking, new)).tally()
         assert tally_values(moved) == tally_values(expected)
+
+
+def oracle_int_weights(profile):
+    """The group weights as integers over their least common denominator."""
+    denom = math.lcm(*(b.weight.denominator for b in profile.ballots))
+    return [b.weight.numerator * (denom // b.weight.denominator) for b in profile.ballots], denom
+
+
+def oracle_margins(profile):
+    """`_margins` counted pair by pair: one add per (distinct ranking, pair)."""
+    ints, denom = oracle_int_weights(profile)
+    merged = {}
+    for b, w in zip(profile.ballots, ints):
+        merged[b.ranking] = merged.get(b.ranking, 0) + w
+    above = [[0] * profile.m for _ in range(profile.m)]
+    for ranking, w in merged.items():
+        for i, x in enumerate(ranking):
+            row = above[x]
+            for y in ranking[i + 1:]:
+                row[y] += w
+    return tuple(tuple(ab - ba for ab, ba in zip(row, col))
+                 for row, col in zip(above, zip(*above))), denom
+
+
+def oracle_tally(profile):
+    """`tally()` counted pair by pair: one add per (distinct approval set, x, y)."""
+    ints, denom = oracle_int_weights(profile)
+    m = profile.m
+    merged = {}
+    for b, w in zip(profile.ballots, ints):
+        merged[b.approved] = merged.get(b.approved, 0) + w
+    joint = [[0] * m for _ in range(m)]
+    split = [0] * m
+    sizes = math.lcm(*(len(a) for a in merged if a))
+    for approved, w in merged.items():
+        if not (w and approved):
+            continue
+        for x in approved:
+            for y in approved:
+                joint[x][y] += w
+            split[x] += w * (sizes // len(approved))
+    return Tally(denom, sum(merged.values()), tuple(joint[c][c] for c in range(m)),
+                 tuple(map(tuple, joint)), tuple(split), denom * sizes)
+
+
+def random_ranked_profile(rng, m, n, weight):
+    """n groups of random rankings over m candidates with random prefix
+    approvals (empty ones among them), each weighted by `weight(rng)`."""
+    ballots = []
+    for _ in range(n):
+        ranking = rng.sample(range(m), m)
+        ballots.append(RankedBallot.from_threshold(ranking, rng.randint(0, m), weight(rng)))
+    return RankedProfile(m, ballots)
+
+
+class TestPackedCounting:
+    """The packed margins and joint rows equal the pair-by-pair counts,
+    tuple for tuple, denominators included."""
+
+    @staticmethod
+    def assert_counts(profile):
+        assert profile._int_weights() == oracle_int_weights(profile)
+        assert profile._margins() == oracle_margins(profile)
+        assert profile.tally() == oracle_tally(profile)
+        assert profile.as_approval().tally() == oracle_tally(profile)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_random_profiles(self, m):
+        rng = random.Random(m)
+        for n in (1, 2, 7, 40):
+            self.assert_counts(random_ranked_profile(rng, m, n, lambda r: r.randint(1, 9)))
+
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_debiased_profiles_with_fractional_weights(self, m):
+        rng = random.Random(100 + m)
+        profile = random_ranked_profile(rng, m, 60, lambda r: r.randint(1, 9))
+        reported = [b.ranking[0] if rng.random() < 0.8 else b.ranking[-1]
+                    for b in profile.ballots]
+        shares = {c: Fraction(rng.randint(1, 5)) for c in range(m)}
+        total = sum(shares.values())
+        targets = {c: s / total for c, s in shares.items()}
+        debiased = debias(profile, DebiasSpec(tuple(reported), targets))
+        assert oracle_int_weights(debiased)[1] > 1
+        self.assert_counts(debiased)
+
+    def test_zero_weights_and_empty_approval_sets(self):
+        rng = random.Random(7)
+        for m in (1, 3, 6):
+            self.assert_counts(random_ranked_profile(rng, m, 30, lambda r: r.choice((0, 0, 1, 2))))
+        empty = RankedProfile(3, [RankedBallot((2, 0, 1), (), 4), RankedBallot((0, 1, 2), (), 0)])
+        self.assert_counts(empty)
+        self.assert_counts(RankedProfile(2, [RankedBallot((1, 0), (1,), 0)]))
+
+    def test_weights_past_machine_integers(self):
+        rng = random.Random(11)
+        for m in (2, 4, 8):
+            self.assert_counts(random_ranked_profile(
+                rng, m, 25, lambda r: r.randint(2 ** 80, 2 ** 90) * r.choice((1, Fraction(1, 3)))))
+
+    def test_equal_weights_in_distinct_objects(self):
+        # equal weights count once each, whether or not they share an object
+        ballots = [RankedBallot((0, 1, 2), {0}, Fraction(2, 6)),
+                   RankedBallot((1, 0, 2), {1}, "1/3"), RankedBallot((2, 1, 0), (), Fraction(1, 4))]
+        self.assert_counts(RankedProfile(3, ballots + ballots[:1]))
+
+    def test_approvals_off_the_ranking_prefix(self):
+        # single-voter deviations that approve below an unapproved candidate
+        rng = random.Random(5)
+        for m in (3, 6, 10):
+            profile = random_ranked_profile(rng, m, 12, lambda r: r.randint(1, 4))
+            for _ in range(10):
+                ranking = rng.sample(range(m), m)
+                approved = rng.sample(range(m), rng.randint(0, m))
+                profile = profile.replace_ballot(rng.randrange(len(profile.ballots)),
+                                                 RankedBallot(ranking, approved))
+            assert not all(b.is_consistent() for b in profile.ballots)
+            self.assert_counts(profile)
 
 
 class TestSymmetries:
