@@ -38,7 +38,7 @@ class SpatialConfig:
     def __post_init__(self):
         if self.distribution not in _DIST_CODE:
             raise InputError(f"unknown distribution {self.distribution!r}")
-        if self.d <= 0:
+        if not self.d > 0:  # NaN too
             raise InputError("approval radius d must be positive")
         if self.n_voters < 1 or self.n_candidates < 2:
             raise InputError("need at least one voter and two candidates")
@@ -83,7 +83,10 @@ def _rng(config: SpatialConfig) -> np.random.Generator:
 
 
 def _triangular_ppf(u: np.ndarray) -> np.ndarray:
-    return np.where(u <= 0.5, np.sqrt(2.0 * u) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - u)))
+    """Quantiles of the density 1 - |x| at ascending u, each half of u
+    taking only its own branch."""
+    k = int(np.searchsorted(u, 0.5, side="right"))
+    return np.concatenate((np.sqrt(2.0 * u[:k]) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - u[k:]))))
 
 
 # Wichura's AS241 coefficients, highest power first, as `statistics` spells
@@ -111,32 +114,38 @@ _AS241 = (
 
 
 def _horner(coeffs, r: np.ndarray) -> np.ndarray:
-    acc = coeffs[0]
+    acc = np.full_like(r, coeffs[0])
     for c in coeffs[1:]:
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
 def _normal_ppf(u: np.ndarray) -> np.ndarray:
-    """`NormalDist().inv_cdf` of each entry by its operations, one mask per branch."""
+    """`NormalDist().inv_cdf` of each entry by its operations, at ascending u:
+    then q = u - 0.5 ascends too, and each branch runs on its own slice."""
     (c_num, c_den), (n_num, n_den), (f_num, f_den) = _AS241
     q = u - 0.5
     x = np.empty_like(u)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
+    lo = int(np.searchsorted(q, -0.425, side="left"))
+    hi = int(np.searchsorted(q, 0.425, side="right"))
+    qc = q[lo:hi]
     r = 0.180625 - qc * qc
-    x[central] = _horner(c_num, r) * qc / _horner(c_den, r)
-    tail = ~central
-    p, qt = u[tail], q[tail]
-    r = np.where(qt <= 0.0, p, 1.0 - p)
+    num = _horner(c_num, r)
+    num *= qc
+    np.divide(num, _horner(c_den, r), out=x[lo:hi])
+    # both tails in one pass: r = p below the center, 1 - p above it
+    r = np.concatenate((u[:lo], 1.0 - u[hi:]))
     # libm's log: numpy's SIMD log differs from it in the last bit
     r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), float, len(r)))
     near = r <= 5.0
-    r = r - np.where(near, 1.6, 5.0)
-    xt = np.where(near, _horner(n_num, r) / _horner(n_den, r),
-                  _horner(f_num, r) / _horner(f_den, r))
-    x[tail] = np.where(qt < 0.0, -xt, xt)
-    return 0.0 + x * 1.0  # NormalDist's mu + x * sigma: -0.0 becomes +0.0
+    xt = np.empty_like(r)
+    rn, rf = r[near] - 1.6, r[~near] - 5.0
+    xt[near] = _horner(n_num, rn) / _horner(n_den, rn)
+    xt[~near] = _horner(f_num, rf) / _horner(f_den, rf)
+    x[:lo], x[hi:] = -xt[:lo], xt[lo:]
+    x += 0.0  # NormalDist's mu + x * sigma: -0.0 becomes +0.0
+    return x
 
 
 def sample_voters(config: SpatialConfig) -> np.ndarray:
@@ -146,6 +155,8 @@ def sample_voters(config: SpatialConfig) -> np.ndarray:
     (i + U_i) / n. This is a seeded Monte-Carlo sample whose interval counts
     have O(1) noise, keeping empirical argmax positions within grid
     resolution of the population optimum at the default sample sizes.
+    The quantiles ascend by construction, and both quantile functions rely
+    on it: each of their branches runs on one slice of them.
     Gaussian quantiles are Wichura's AS241 evaluated in numpy with the
     floating-point operations of `statistics.NormalDist.inv_cdf`, the tails
     taking their log from `math.log`, so each position equals the stdlib's
@@ -153,8 +164,10 @@ def sample_voters(config: SpatialConfig) -> np.ndarray:
     """
     rng = _rng(config)
     n = config.n_voters
-    u = (np.arange(n) + rng.random(n)) / n
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    u = rng.random(n)
+    u += np.arange(n)
+    u /= n
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
     if config.distribution == TRIANGULAR:
         return _triangular_ppf(u)
     return _normal_ppf(u) * GAUSSIAN_SIGMA
@@ -194,21 +207,19 @@ def sample_profile(config: SpatialConfig) -> RankedProfile:
     return RankedProfile(m, ballots, labels)
 
 
-def _open_interval_counts(sorted_voters: np.ndarray, lo, hi) -> np.ndarray:
-    """Voters strictly inside (lo, hi), vectorized over interval arrays."""
-    left = np.searchsorted(sorted_voters, np.asarray(hi), side="left")
-    right = np.searchsorted(sorted_voters, np.asarray(lo), side="right")
-    return np.maximum(left - right, 0)
+def approval_counts(sorted_voters: np.ndarray, grid: np.ndarray, d: float) -> tuple:
+    """Approvals of each candidate, and where its approvers sit: the voters
+    strictly within d of candidate i are sorted_voters[first[i]:end[i]]."""
+    first = np.searchsorted(sorted_voters, grid - d, side="right")
+    end = np.searchsorted(sorted_voters, grid + d, side="left")
+    return np.maximum(end - first, 0), first, end
 
 
-def approval_counts(sorted_voters: np.ndarray, grid: np.ndarray, d: float) -> np.ndarray:
-    return _open_interval_counts(sorted_voters, grid - d, grid + d)
-
-
-def joint_counts(sorted_voters: np.ndarray, grid: np.ndarray, d: float, x1: float) -> np.ndarray:
-    lo = np.maximum(grid - d, x1 - d)
-    hi = np.minimum(grid + d, x1 + d)
-    return _open_interval_counts(sorted_voters, lo, np.maximum(hi, lo))
+def joint_counts(first: np.ndarray, end: np.ndarray, i1: int) -> np.ndarray:
+    """Voters who approve both candidate i1 and each candidate: the overlap
+    of their slices from `approval_counts`. A search of the sorted voters is
+    monotone in its key, so this is the count inside both open intervals."""
+    return np.maximum(np.minimum(end, end[i1]) - np.maximum(first, first[i1]), 0)
 
 
 @dataclass(frozen=True)
@@ -232,13 +243,18 @@ def _exact_alpha(alpha) -> Fraction:
     return alpha
 
 
-def _electorate(config: SpatialConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted voter positions and candidate positions of `config`."""
-    return np.sort(sample_voters(config)), candidate_positions(config)
+def _electorate(config: SpatialConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted voter positions, candidate positions, and the candidates in
+    central order: toward the center, then toward the lower coordinate."""
+    voters = sample_voters(config)
+    if not (voters[:-1] <= voters[1:]).all():
+        voters = np.sort(voters)
+    grid = candidate_positions(config)
+    return voters, grid, np.lexsort((grid, np.abs(grid)))
 
 
 def _finalists(
-    voters: np.ndarray, grid: np.ndarray, d: float, alphas: Sequence[Fraction]
+    electorate: tuple[np.ndarray, ...], d: float, alphas: Sequence[Fraction]
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Approval counts S, the first finalist, the joint counts J with it,
     and the second finalist for each alpha, at approval radius d.
@@ -248,10 +264,10 @@ def _finalists(
     exactly as the integer S(y) den - num J(y): in int64 while
     max(S) den + num max(J) stays below 2**63, as Python ints otherwise.
     """
-    central = np.lexsort((grid, np.abs(grid)))
-    scores = approval_counts(voters, grid, d)
+    voters, grid, central = electorate
+    scores, first, end = approval_counts(voters, grid, d)
     i1 = int(central[np.argmax(scores[central])])
-    joint = joint_counts(voters, grid, d, float(grid[i1]))
+    joint = joint_counts(first, end, i1)
     top_s, top_j = int(scores.max()), int(joint.max())
     nums = [a.numerator for a in alphas]
     dens = [a.denominator for a in alphas]
@@ -273,8 +289,8 @@ def empirical_second_finalist(config: SpatialConfig, alpha) -> PositionReport:
     (same integer scores), without materializing the ballots.
     """
     alpha = _exact_alpha(alpha)
-    voters, grid = _electorate(config)
-    scores, i1, joint, (i2,) = _finalists(voters, grid, config.d, [alpha])
+    _, grid, _ = electorate = _electorate(config)
+    scores, i1, joint, (i2,) = _finalists(electorate, config.d, [alpha])
     curve = tuple(
         None if i == i1 else Fraction(int(scores[i])) - alpha * int(joint[i])
         for i in range(len(grid))
@@ -304,40 +320,35 @@ def sweep(config: SpatialConfig, alphas: Sequence, ds: Sequence[float]) -> list[
     """Second-finalist distance for every (d, alpha) cell; analytic column
     filled for the triangular density.
 
-    The electorate is drawn once and counted once per radius; each alpha
-    then costs one integer argmax. Inputs are checked cell by cell, radius
-    first, so the first bad input raises as `empirical_second_finalist`
-    per cell would.
+    The electorate is drawn once and counted once per radius; each alpha is
+    checked once and then costs one integer argmax per radius. Inputs are
+    checked in cell order, radius first, so the first bad input raises as
+    `empirical_second_finalist` per cell would.
     """
-    rows = []
-    electorate = None
+    rows, exact_alphas, electorate = [], [], None
     for d in map(float, ds):
         replace(config, d=d)  # SpatialConfig rejects a radius that is not positive
-        cells = []
-        for alpha in alphas:
-            alpha = _exact_alpha(alpha)
-            analytic = (
-                optimal_x2_triangular(float(alpha), d)
-                if config.distribution == TRIANGULAR
-                else None
-            )
-            cells.append((alpha, analytic))
-        if not cells:
+        analytic = []
+        for i, alpha in enumerate(alphas):
+            if i == len(exact_alphas):  # the first radius checks each alpha
+                exact_alphas.append(_exact_alpha(alpha))
+            analytic.append(optimal_x2_triangular(float(exact_alphas[i]), d)
+                            if config.distribution == TRIANGULAR else None)
+        if not exact_alphas:
             continue
         if electorate is None:
             electorate = _electorate(config)
-        voters, grid = electorate
-        *_, seconds = _finalists(voters, grid, d, [alpha for alpha, _ in cells])
+        *_, seconds = _finalists(electorate, d, exact_alphas)
         rows += [
             SweepRow(
                 distribution=config.distribution,
                 d=d,
                 alpha=alpha,
-                analytic=analytic,
-                empirical=abs(float(grid[i])),
+                analytic=a,
+                empirical=abs(x),
                 seed=config.seed,
             )
-            for (alpha, analytic), i in zip(cells, seconds)
+            for alpha, a, x in zip(exact_alphas, analytic, electorate[1][seconds].tolist())
         ]
     return rows
 

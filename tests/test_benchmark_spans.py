@@ -55,3 +55,19 @@ def test_traced_axiom_lab_counts_rule_evaluations():
     assert report["correct"] is True
     for name in ("rules.evaluate.calls", "runoff.avr.calls"):
         assert report["metrics"][name]["value"] > 0
+
+
+def test_traced_spatial_sweep_counts_the_counting_layer():
+    # one draw per sweep of the round, and the joint counts under their own
+    # name: counting inlined into another function would read 0 here
+    run = TRACER.parent / "run.py"
+    result = subprocess.run(
+        [sys.executable, str(run), "--workload", "spatial-sweep", "--seed", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0
+    metrics = report["metrics"]
+    assert metrics["spatial.sample_voters.calls"]["value"] == 13
+    assert metrics["spatial.joint_counts.calls"]["value"] > 0

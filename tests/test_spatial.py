@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -195,14 +196,68 @@ class TestNormalQuantiles:
         picked = np.array([0.075, 0.925, 0.5, 1e-12, 1.0 - 1e-12, 1e-11, 1.0 - 1e-11,
                            float(np.exp(-25.0)), 1.0 - float(np.exp(-25.0))])
         u = np.concatenate([picked, np.nextafter(picked, 0.0), np.nextafter(picked, 1.0)])
-        # a dense sweep of both tails, where the log enters
+        # a dense sweep of both tails, where the log enters; `_normal_ppf`
+        # takes its quantiles in ascending order, as `sample_voters` draws them
         tail = np.geomspace(1e-12, 0.075, 200_000)
-        u = np.concatenate([u, tail, 1.0 - tail])
+        u = np.sort(np.concatenate([u, tail, 1.0 - tail]))
         q = u - 0.5
         r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
         central = np.abs(q) <= 0.425
         assert central.any() and (~central & (r <= 5.0)).any() and (r > 5.0).any()
         assert_same_bits(spatial._normal_ppf(u), stdlib_normal_ppf(u))
+
+
+class TestTriangularQuantiles:
+    def test_both_branches_and_their_edge_equal_a_per_entry_loop(self):
+        # the branch edge 0.5 and its neighbours, the clip ends, and a dense
+        # ascending sweep; each half is computed on its own slice
+        picked = [1e-12, 0.5, 1.0 - 1e-12]
+        u = np.sort(np.concatenate([picked, np.nextafter(picked, 0.0),
+                                    np.nextafter(picked, 1.0), np.linspace(0.0, 1.0, 10_001)]))
+        expected = np.array([math.sqrt(2.0 * x) - 1.0 if x <= 0.5
+                             else 1.0 - math.sqrt(2.0 * (1.0 - x)) for x in u])
+        assert_same_bits(spatial._triangular_ppf(u), expected)
+
+
+class TestElectorate:
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    @pytest.mark.parametrize("n", [1, 2, 7, 20000])
+    def test_voters_are_the_sorted_sample(self, dist, n):
+        # the sample is drawn ascending, so the electorate skips the sort
+        for seed in (0, 1, 7, 12345):
+            config = spatial.SpatialConfig(distribution=dist, n_voters=n, seed=seed)
+            voters = spatial._electorate(config)[0]
+            assert_same_bits(voters, np.sort(spatial.sample_voters(config)))
+
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    @pytest.mark.parametrize("placement", ["grid", "sampled"])
+    def test_finalists_equal_a_voter_by_voter_recount(self, dist, placement):
+        # radii: nobody approved, the grid spacing (where one candidate's
+        # interval ends exactly at a neighbour's), most of the line, everyone
+        alphas = [F(0), F(1, 3), F(1, 2), F(1)]
+        for seed, n, m in [(1, 1, 5), (2, 40, 11), (3, 300, 41), (4, 2000, 101)]:
+            config = spatial.SpatialConfig(distribution=dist, n_voters=n, n_candidates=m,
+                                           candidate_placement=placement, seed=seed)
+            electorate = spatial._electorate(config)
+            v, grid, _ = electorate
+            central = sorted(range(m), key=lambda i: (abs(grid[i]), grid[i]))
+            spacing = float(np.linspace(*spatial.GRID_INTERVAL[dist], m)[1]
+                            - spatial.GRID_INTERVAL[dist][0])
+            for d in (1e-9, spacing, 0.99, 5.0):
+                def count(lo, hi):
+                    return np.count_nonzero((v > lo) & (v < hi))
+
+                scores = [count(g - d, g + d) for g in grid]
+                i1 = max(central, key=scores.__getitem__)
+                x1 = grid[i1]
+                joint = [count(max(g - d, x1 - d), min(g + d, x1 + d)) for g in grid]
+                got_scores, got_i1, got_joint, seconds = spatial._finalists(electorate, d, alphas)
+                assert got_scores.tolist() == scores and got_i1 == i1, (seed, d)
+                assert got_joint.tolist() == joint, (seed, d)
+                for a, i2 in zip(alphas, seconds.tolist()):
+                    value = [s - a * j for s, j in zip(scores, joint)]
+                    best = max((y for y in central if y != i1), key=value.__getitem__)
+                    assert i2 == best, (seed, d, a)
 
 
 class TestFastPathEquivalence:
@@ -337,6 +392,14 @@ class TestSweep:
         config = spatial.SpatialConfig(n_voters=20, n_candidates=5, seed=1)
         with pytest.raises(InputError, match=message):
             spatial.sweep(config, alphas, ds)
+
+    @pytest.mark.parametrize("dist", [spatial.TRIANGULAR, spatial.GAUSSIAN])
+    def test_a_nan_radius_is_rejected(self, dist):
+        with pytest.raises(InputError, match="approval radius d must be positive"):
+            spatial.SpatialConfig(distribution=dist, d=float("nan"))
+        config = spatial.SpatialConfig(distribution=dist, n_voters=20, n_candidates=5, seed=1)
+        with pytest.raises(InputError, match="approval radius d must be positive"):
+            spatial.sweep(config, [F(1, 2)], [float("nan")])
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0, "0.3.1", "1/0", "x"])
     def test_alpha_must_be_an_exact_rational(self, alpha):
