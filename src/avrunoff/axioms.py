@@ -23,10 +23,10 @@ per (rule, A, S) and shared by every voter with true approvals A, both
 manipulation modes and the monotonicity search; its margins are the base
 margins with one ranking swapped for another. A cloning's tally is counted
 from the profile's approval sets, the clone approved where its original
-is, and its margins are read off the original's. A screen's runoff is
-`runoff.runoff_winners` on its pairs and margins, as `avr`'s is. Only a
-screen's hit reaches the judge, which builds the transformed profile and
-the `Violation`.
+is, and its margins are read off the original's. The clone screen's runoff
+is `runoff.runoff_winners`, as `avr`'s is; the monotonicity screen reads only
+the moved pairs that contain its candidate `a`. Only a screen's hit reaches
+the judge, which builds the transformed profile and the `Violation`.
 
 The cells of a grid share their work on a profile, which keeps what is
 derived from it (`_Profile._derived`) for as long as it lives, keyed by
@@ -262,16 +262,16 @@ def _moved_pairs(profile: RankedProfile, spec: RuleSpec, old: frozenset[int],
     return profile._derived(("pairs", spec, old, new), pairs)
 
 
-def _moved_winners(profile: RankedProfile, spec: RuleSpec, voter: int,
-                   ballot: RankedBallot) -> frozenset[int]:
-    """The runoff winners of `profile.replace_ballot(voter, ballot)`, without
-    building it: the pairs of `_moved_pairs`, and each margin the base
-    margin with the voter's old ranking taken out and the new one put in."""
+def _wins_after_move(profile: RankedProfile, spec: RuleSpec, voter: int,
+                     ballot: RankedBallot, a: int) -> bool:
+    """Whether `a` wins the runoff of `profile.replace_ballot(voter, ballot)`,
+    without building it: iff it wins or ties a pair {a, b} of `_moved_pairs`,
+    its margin the base one with the voter's old ranking swapped for the new."""
     margins, _ = profile._margins()  # whole voters: over denominator 1
     old = profile.ballots[voter]
-    return runoff_winners(
-        _moved_pairs(profile, spec, old.approved, ballot.approved),
-        lambda x, y: margins[x][y] - _vote(old, x, y) + _vote(ballot, x, y))[0]
+    return any(margins[a][b] - _vote(old, a, b) + _vote(ballot, a, b) >= 0
+               for pair in _moved_pairs(profile, spec, old.approved, ballot.approved)
+               for x, b in (pair, pair[::-1]) if x == a)
 
 
 def _vote(ballot: RankedBallot, x: int, y: int) -> int:
@@ -306,12 +306,12 @@ def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> Searc
     every pair it won.
 
     One that adds `a` is screened without building a profile
-    (`_moved_winners`): its finalist pairs are those of the tally with one
+    (`_wins_after_move`): its finalist pairs are those of the tally with one
     voter moved from the approval set A to A ∪ {a}, cached per
-    (A, A ∪ {a}), and its margins are the base margins with the voter's old
-    ranking taken out and the new one put in. Only an improvement after
-    which `a` wins no pair reaches `improvement_violation`, which builds the
-    witness.
+    (A, A ∪ {a}), of which only those that contain `a` can make it a winner;
+    each margin of `a` is the base one with the voter's ranking swapped. Only
+    an improvement after which `a` wins no pair reaches
+    `improvement_violation`, which builds the witness.
     """
     _require_voter_groups(profile)
     base = avr(profile, spec)
@@ -320,7 +320,7 @@ def find_monotonicity_violation(profile: RankedProfile, spec: RuleSpec) -> Searc
         for i, ballot in a_improvements(profile, a):
             searched += 1
             if (ballot.approved == profile.ballots[i].approved
-                    or a in _moved_winners(profile, spec, i, ballot)):
+                    or _wins_after_move(profile, spec, i, ballot, a)):
                 continue
             found = improvement_violation(profile, spec, base.winners, a, i, ballot)
             if found is not None:

@@ -125,12 +125,19 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _load_document(path: str) -> fileio.ProfileDocument:
+def _read_text(path: str, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
+        return data.decode("utf-8")
     except OSError as exc:
-        raise InputError(f"cannot read profile {path!r}: {exc}") from exc
-    return fileio.parse_document(text)
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{what} {path!r} is not UTF-8: line {line}") from None
+
+
+def _load_document(path: str) -> fileio.ProfileDocument:
+    return fileio.parse_document(_read_text(path, "profile"))
 
 
 def _fmt_pair(pair: CandidatePair, labels) -> str:
@@ -348,11 +355,7 @@ def cmd_network(args) -> int:
 
 def cmd_debias(args) -> int:
     doc = _load_document(args.profile)
-    try:
-        targets_text = Path(args.targets).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read targets {args.targets!r}: {exc}") from exc
-    shares = fileio.load_target_shares(targets_text, doc.profile.labels)
+    shares = fileio.load_target_shares(_read_text(args.targets, "targets"), doc.profile.labels)
     spec = fileio.DebiasSpec(doc.reported, shares)
     debiased = fileio.debias(doc.profile, spec)
     _emit(args, fileio.serialize_document(fileio.ProfileDocument(debiased, doc.reported)))

@@ -32,7 +32,7 @@ from avrunoff.axioms import (
 )
 from avrunoff.profiles import InputError, RankedBallot, RankedProfile
 from avrunoff.rules import CCAV, MAV, SCCAV, TRIV, RuleSpec, evaluate
-from avrunoff.runoff import avr
+from avrunoff.runoff import avr, runoff_winners
 from conftest import tally_values
 from test_witnesses import (
     CLONE_BREAKING_RULES,
@@ -397,6 +397,8 @@ class TestTallyScreens:
                         ("clone", "none"), ("clone", "violation")}, seen
 
     def test_one_voter_move_gets_the_rebuilt_profiles_winners(self):
+        # the monotonicity screen's predicate holds for any one-voter move,
+        # not only an improvement, and for every candidate
         rng = random.Random(101)
         for _ in range(60):
             m = rng.randint(2, 5)
@@ -407,8 +409,27 @@ class TestTallyScreens:
                         continue
                     ballot = RankedBallot(rng.sample(range(m), m),
                                           rng.sample(range(m), rng.randint(0, m)))
-                    assert axioms._moved_winners(profile, spec, i, ballot) == avr(
-                        profile.replace_ballot(i, ballot), spec).winners
+                    after = avr(profile.replace_ballot(i, ballot), spec).winners
+                    assert [axioms._wins_after_move(profile, spec, i, ballot, c)
+                            for c in range(m)] == [c in after for c in range(m)]
+
+    def test_monotonicity_cell_runs_no_runoff_on_a_moved_profile(self, monkeypatch):
+        # a screen reads the winner's own moved pairs and runs no runoff on
+        # them; the base runoffs go through `avr`, which this does not count
+        counted = []
+
+        def runoff(pairs, margin):
+            counted.append(pairs)
+            return runoff_winners(pairs, margin)
+
+        monkeypatch.setattr(axioms, "runoff_winners", runoff)
+        profile = RankedProfile(4, [
+            RankedBallot((0, 1, 2, 3), {0}, 3), RankedBallot((1, 2, 0, 3), {1}, 1),
+            RankedBallot((2, 3, 1, 0), {2, 3}, 2), RankedBallot((3, 0, 2, 1), {3}, 1)])
+        for _, spec in axioms.GRID_RULES:
+            out = check_axiom(profile, spec, axioms.MONOTONICITY)
+            assert out.status == "none" and out.searched > 0, spec
+        assert counted == []
 
     @pytest.mark.parametrize("name", ["mav", "pav", "sav", "sphr"])
     def test_strategy_proofness_cell_evaluates_the_rule_once_per_approval_set(

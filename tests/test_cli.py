@@ -401,6 +401,24 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("command", [
+        ("score",), ("winner", "--rule", "mav"), ("axioms",),
+        ("debias", "--targets", TARGETS),
+    ], ids=lambda c: c[0])
+    def test_profile_that_is_not_utf8_names_the_line(self, capsys, tmp_path, command):
+        profile = tmp_path / "latin1.avr"
+        profile.write_bytes(b"candidates: a b\n1 * a | b\n2 * b | a \xe9\n")
+        code, out, err = run(capsys, *command, "--profile", str(profile))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "line 3" in err
+
+    def test_targets_that_are_not_utf8_name_the_line(self, capsys, tmp_path):
+        targets = tmp_path / "targets.json"
+        targets.write_bytes(b'{"a": "1/2"}\n\xff')
+        code, out, err = run(capsys, "debias", "--profile", SURVEY, "--targets", str(targets))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "line 2" in err
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"x"'])
     def test_targets_that_are_not_an_object(self, capsys, tmp_path, text):
         targets = tmp_path / "targets.json"
