@@ -380,9 +380,9 @@ def find_manipulation(
     smallest ranking with prefix S, sorted(S) + sorted(rest), with b moved
     just behind a if it came first. The least of these over the successful
     (pair, order) choices is the smallest successful ranking for S, and
-    (ranking, |S|) its deviation. Sets are tried in increasing order of
-    (smallest ranking, |S|), a lower bound on each set's deviations, and
-    the search stops once that passes the best deviation found. The voter's
+    (ranking, |S|) its deviation. The least deviation found is kept, and a
+    set is skipped when (smallest ranking, |S|), a lower bound on its
+    deviations, passes it: no set that could beat it is left out. The voter's
     own ballot never succeeds (it leaves the winners as they are), so the
     enumeration's skipping it only shifts positions: `searched` is the
     witness's position in the enumeration, counting every deviation of the
@@ -426,16 +426,13 @@ def _first_deviation(profile, spec, true, goal) -> Optional[tuple[tuple[int, ...
     `true` elects a candidate of `goal`, or None; see `find_manipulation`."""
     m = profile.m
     margins, _ = profile._margins()  # whole voters: over denominator 1
-    orders = sorted(
-        (top + tuple(c for c in range(m) if c not in top), t)
-        for t in range(m + 1)
-        for top in itertools.combinations(range(m), t)
-    )
     best = None
-    for smallest, t in orders:
+    sets = ((top, t) for t in range(m + 1) for top in itertools.combinations(range(m), t))
+    for top, t in sets:
+        smallest = top + tuple(c for c in range(m) if c not in top)
         if best is not None and (smallest, t) > best:
-            break
-        S = frozenset(smallest[:t])
+            continue
+        S = frozenset(top)
         for pair in _moved_pairs(profile, spec, true.approved, S):
             for a, b in (pair, pair[::-1]):
                 if b in S and a not in S:

@@ -297,7 +297,11 @@ def cmd_simulate(args) -> int:
             raise InputError(f"a radius in {args.d!r} is too large for a float") from None
         if radius > 0 and ds[-1] == 0:
             raise InputError(f"a radius in {args.d!r} is too small for a float")
+    if not ds:
+        raise InputError(f"--d {args.d!r} names no radius")
     alphas = [exact(x, "alpha") for x in args.alphas.split(",") if x.strip()]
+    if not alphas:
+        raise InputError(f"--alphas {args.alphas!r} names no alpha")
     rows = spatial.sweep(config, alphas, ds)
     _emit(args, spatial.sweep_csv(rows))
     return EXIT_OK

@@ -138,11 +138,10 @@ def _body_ballot(body: str, weight: Fraction, ids: Mapping[str, int], ranked: bo
     except KeyError as exc:
         raise ParseError(f"unknown candidate label {exc.args[0]!r}", lineno) from None
     if not ranked:
-        return _trusted(ApprovalBallot, approved=frozenset(ranking), weight=weight)
+        return tuple.__new__(ApprovalBallot, (frozenset(ranking), weight))
     if len(ranking) != len(ids):
         raise ParseError("ranking is not a permutation of all candidates", lineno)
-    return _trusted(RankedBallot, ranking=ranking, approved=frozenset(ranking[:approvals]),
-                    weight=weight)
+    return tuple.__new__(RankedBallot, (ranking, frozenset(ranking[:approvals]), weight))
 
 
 def parse_profile(text: str) -> Profile:

@@ -1,11 +1,12 @@
 """Core data model: candidates, weighted ballots, profiles, majority comparisons.
 
 All weights and scores are exact rationals (`fractions.Fraction`), so ties
-are genuine ties and never float artifacts. Ballots are stored grouped with
-a multiplicity weight; fractional weights appear after debiasing. What the
-rules and the runoff read (scores, joint scores, split scores, pairwise
-majority margins) is counted once per profile, as integers over the common
-denominator of the weights.
+are genuine ties and never float artifacts. A ballot is an immutable tuple,
+checked when it is made, stored grouped with a multiplicity weight;
+fractional weights appear after debiasing. What the rules and the runoff
+read (scores, joint scores, split scores, pairwise majority margins) is
+counted once per profile, as integers over the common denominator of the
+weights.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import string
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -50,33 +52,41 @@ def as_weight(w) -> Fraction:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass `cls` from fields already checked:
-    coerced to their types and, for a profile, ballots that fit it."""
+    """A profile of the frozen dataclass `cls` from fields already checked:
+    coerced to their types, with ballots that fit it."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
 def _with_weight(ballot, weight: Fraction):
-    """`ballot` with a new weight, already a nonnegative Fraction."""
-    new = object.__new__(type(ballot))
-    new.__dict__.update(ballot.__dict__, weight=weight)
-    return new
+    """The tuple `ballot` with a new weight, a nonnegative Fraction: unchecked."""
+    return tuple.__new__(type(ballot), (*ballot[:-1], weight))
 
 
-@dataclass(frozen=True)
-class ApprovalBallot:
+class _Ballot:
+    """Every way to make a ballot (`_make`, `_replace`, pickle, copy) checks it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
+class ApprovalBallot(_Ballot, namedtuple("ApprovalBallot", "approved weight")):
     """A set of approved candidate ids with a multiplicity weight."""
 
-    approved: frozenset[int]
-    weight: Fraction
+    __slots__ = ()
 
-    def __init__(self, approved: Iterable[int], weight=1):
-        self.__dict__.update(approved=frozenset(approved), weight=as_weight(weight))
+    def __new__(cls, approved: Iterable[int], weight=1):
+        return tuple.__new__(cls, (frozenset(approved), as_weight(weight)))
 
 
-@dataclass(frozen=True)
-class RankedBallot:
+class RankedBallot(_Ballot, namedtuple("RankedBallot", "ranking approved weight")):
     """A full ranking (best first) plus an approved set and a weight.
 
     The approved set is stored explicitly rather than as a threshold so
@@ -85,14 +95,10 @@ class RankedBallot:
     need them. `is_consistent()` tells such ballots apart.
     """
 
-    ranking: tuple[int, ...]
-    approved: frozenset[int]
-    weight: Fraction
+    __slots__ = ()
 
-    def __init__(self, ranking: Iterable[int], approved: Iterable[int], weight=1):
-        self.__dict__.update(
-            ranking=tuple(ranking), approved=frozenset(approved), weight=as_weight(weight)
-        )
+    def __new__(cls, ranking: Iterable[int], approved: Iterable[int], weight=1):
+        return tuple.__new__(cls, (tuple(ranking), frozenset(approved), as_weight(weight)))
 
     @classmethod
     def from_threshold(cls, ranking: Iterable[int], threshold: int, weight=1) -> "RankedBallot":
@@ -106,18 +112,10 @@ class RankedBallot:
         return len(self.approved)
 
     def position(self, c: int) -> int:
-        return self._positions()[c]
+        return self.ranking.index(c)
 
     def prefers(self, a: int, b: int) -> bool:
-        pos = self._positions()
-        return pos[a] < pos[b]
-
-    def _positions(self) -> dict[int, int]:
-        pos = self.__dict__.get("_pos")
-        if pos is None:
-            pos = {c: i for i, c in enumerate(self.ranking)}
-            self.__dict__["_pos"] = pos
-        return pos
+        return self.ranking.index(a) < self.ranking.index(b)
 
     def is_consistent(self) -> bool:
         """True if the approved set is exactly the top-|approved| prefix."""
@@ -128,9 +126,8 @@ _ONE = Fraction(1)
 
 
 def _unit_ballot(ranking: tuple[int, ...], approved: frozenset[int]) -> RankedBallot:
-    """One voter's ballot, from a ranking tuple and an approved frozenset
-    that are already known to fit the profile: no weight to check."""
-    return _trusted(RankedBallot, ranking=ranking, approved=approved, weight=_ONE)
+    """One voter's ballot tuple, from fields known to fit the profile: unchecked."""
+    return tuple.__new__(RankedBallot, (ranking, approved, _ONE))
 
 
 def _check_labels(m: int, labels) -> tuple[str, ...]:

@@ -138,11 +138,12 @@ def _normal_ppf(u: np.ndarray) -> np.ndarray:
     r = np.concatenate((u[:lo], 1.0 - u[hi:]))
     # libm's log: numpy's SIMD log differs from it in the last bit
     r = np.sqrt(-np.fromiter(map(math.log, r.tolist()), float, len(r)))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    rn, rf = r[near] - 1.6, r[~near] - 5.0
-    xt[near] = _horner(n_num, rn) / _horner(n_den, rn)
-    xt[~near] = _horner(f_num, rf) / _horner(f_den, rf)
+    rn = r - 1.6
+    xt = _horner(n_num, rn) / _horner(n_den, rn)
+    far = r > 5.0  # rarely any: u within about 1e-11 of 0 or 1
+    if far.any():
+        rf = r[far] - 5.0
+        xt[far] = _horner(f_num, rf) / _horner(f_den, rf)
     x[:lo], x[hi:] = -xt[:lo], xt[lo:]
     x += 0.0  # NormalDist's mu + x * sigma: -0.0 becomes +0.0
     return x

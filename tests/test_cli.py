@@ -395,6 +395,8 @@ class TestExitCodes:
         (("simulate", "--placement", "sampled", "--seed", "-5"), "seed"),
         (("simulate", "--d", "0.5,1e400"), "radius in '0.5,1e400'"),
         (("simulate", "--d", "1e-400"), "radius in '1e-400' is too small for a float"),
+        (("simulate", "--alphas", ","), "--alphas ',' names no alpha"),
+        (("simulate", "--d", " "), "--d ' ' names no radius"),
     ])
     def test_out_of_range_simulation_input_is_named(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)

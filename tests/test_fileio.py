@@ -2,7 +2,6 @@ import json
 from fractions import Fraction
 
 import pytest
-from dataclasses import replace
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -346,7 +345,7 @@ class TestParseDifferential:
                 debias(got_p, spec)
             return
         debiased = debias(got_p, spec)
-        rebuilt = type(want_p)(want_p.m, [replace(b, weight=w) for b, w in
+        rebuilt = type(want_p)(want_p.m, [type(b)(*b[:-1], w) for b, w in
                                           zip(want_p.ballots, expected)], want_p.labels)
         assert [b.weight for b in debiased.ballots] == expected
         assert debiased == rebuilt

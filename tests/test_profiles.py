@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -15,6 +17,7 @@ from avrunoff.profiles import (
     RankedBallot,
     RankedProfile,
     Tally,
+    _with_weight,
 )
 from avrunoff.rules import MAV, evaluate
 from conftest import approval_profiles, ranked_profiles, tally_values
@@ -572,3 +575,54 @@ class TestBallots:
             RankedBallot.from_threshold((1, 0), 2, 0),
         ])
         assert profile.dominates(0, 1)
+
+
+BAD_WEIGHTS = [-1, "-1/2", 0.5, "x", "1/0", (1, 2)]
+BALLOTS = [ApprovalBallot({0, 2}, "3/2"), RankedBallot((2, 0, 1), {2}, 4)]
+
+
+class TestBallotDesign:
+    """A ballot is an immutable tuple, and every way to make one checks it."""
+
+    @pytest.mark.parametrize("ballot", BALLOTS, ids=["approval", "ranked"])
+    def test_ballot_has_no_instance_dict(self, ballot):
+        with pytest.raises(TypeError):
+            vars(ballot)
+        with pytest.raises(AttributeError):
+            ballot.weight = Fraction(2)
+
+    @pytest.mark.parametrize("bad", BAD_WEIGHTS)
+    @pytest.mark.parametrize("ballot", BALLOTS, ids=["approval", "ranked"])
+    def test_every_maker_rejects_a_bad_weight(self, ballot, bad):
+        forged = _with_weight(ballot, bad)  # past the checks, as a corrupt stream would be
+        makers = [lambda: ballot._replace(weight=bad),
+                  lambda: type(ballot)._make((*ballot[:-1], bad)),
+                  lambda: copy.copy(forged), lambda: copy.deepcopy(forged)]
+        makers += [lambda p=p: pickle.loads(pickle.dumps(forged, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for make in makers:
+            with pytest.raises(InputError):
+                make()
+
+    @pytest.mark.parametrize("ballot", BALLOTS, ids=["approval", "ranked"])
+    def test_every_maker_keeps_a_valid_ballot(self, ballot):
+        made = [type(ballot)._make(tuple(ballot)), copy.copy(ballot), copy.deepcopy(ballot)]
+        made += [pickle.loads(pickle.dumps(ballot, p))
+                 for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for b in made:
+            assert type(b) is type(ballot) and b == ballot
+        halved = ballot._replace(weight="1/2")
+        assert type(halved) is type(ballot) and type(halved.weight) is Fraction
+        assert halved == type(ballot)(*ballot[:-1], Fraction(1, 2))
+
+    def test_repr_names_every_field(self):
+        assert list(map(repr, BALLOTS)) == [
+            "ApprovalBallot(approved=frozenset({0, 2}), weight=Fraction(3, 2))",
+            "RankedBallot(ranking=(2, 0, 1), approved=frozenset({2}), weight=Fraction(4, 1))",
+        ]
+
+    @pytest.mark.parametrize("ballot", BALLOTS, ids=["approval", "ranked"])
+    def test_hash_and_unpacking_are_the_tuples(self, ballot):
+        assert hash(ballot) == hash(tuple(ballot))
+        *_, weight = ballot
+        assert weight == ballot.weight == ballot[-1]
