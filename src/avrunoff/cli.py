@@ -10,11 +10,9 @@ A rule is named as `RuleSpec.named` reads it (mav, pav, alpha-av:<r>,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +40,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:
+        import traceback
         traceback.print_exc()
         return EXIT_INTERNAL
 
@@ -120,6 +119,7 @@ def _emit(args, text: str) -> None:
 
 
 def _csv_text(rows) -> str:
+    import csv
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()

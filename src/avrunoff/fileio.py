@@ -17,9 +17,8 @@ All weights are exact rationals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from avrunoff.profiles import (
     ApprovalBallot,
@@ -41,8 +40,7 @@ class ParseError(InputError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
-class ProfileDocument:
+class ProfileDocument(NamedTuple):
     """A parsed profile plus the optional reported vote of each group."""
 
     profile: Profile
@@ -188,8 +186,7 @@ def serialize_profile(profile: Profile) -> str:
     return serialize_document(ProfileDocument(profile, (None,) * len(profile.ballots)))
 
 
-@dataclass(frozen=True)
-class DebiasSpec:
+class DebiasSpec(NamedTuple):
     """Reported plurality vote per ballot group, and the population shares
     those votes should be reweighted to match."""
 
@@ -242,8 +239,7 @@ def debias(profile: Profile, spec: DebiasSpec) -> Profile:
     return _trusted(type(profile), m=profile.m, ballots=tuple(ballots), labels=profile.labels)
 
 
-@dataclass(frozen=True)
-class AffinityGraph:
+class AffinityGraph(NamedTuple):
     """Complete candidate graph weighted by ballot overlap.
 
     Edge weight is joint / (score_a + score_b - joint); pairs nobody

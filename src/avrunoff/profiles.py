@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import string
+import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -33,11 +33,18 @@ def default_labels(m: int) -> tuple[str, ...]:
 def exact(x, what: str = "value") -> Fraction:
     """Parse `x` as an exact rational.
 
-    Floats, malformed text and zero denominators raise InputError.
+    Floats, malformed text, zero denominators and text whose exponent gives
+    more digits than `str` prints (`sys.get_int_max_str_digits`, absent
+    before Python 3.10.7) raise InputError, before the number is built.
     """
     if isinstance(x, float):
         raise InputError(f"float {what} {x!r} not allowed; pass int, str or Fraction")
     try:
+        if isinstance(x, str) and "e" in x.lower():
+            digits, _, power = x.lower().partition("e")
+            size = sum(map(str.isdigit, digits)) + abs(int(power))  # its digits, within one
+            if 0 < getattr(sys, "get_int_max_str_digits", int)() < size:
+                raise ValueError("too many digits")
         return Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad {what} {x!r}") from exc
@@ -52,8 +59,8 @@ def as_weight(w) -> Fraction:
 
 
 def _trusted(cls, **fields):
-    """A profile of the frozen dataclass `cls` from fields already checked:
-    coerced to their types, with ballots that fit it."""
+    """A profile of the class `cls` from fields already checked: coerced to
+    their types, with ballots that fit it."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -249,14 +256,40 @@ def _check_ballot(i: int, b, full: frozenset[int]) -> None:
         raise InputError(f"ballot {i}: ranking {b.ranking} is not a permutation of 0..{m - 1}")
 
 
-@dataclass(frozen=True)
-class _Profile:
+class _Frozen:
+    """An immutable record of the fields `_fields` of its `__dict__`. Like a
+    frozen dataclass, it is equal, hashed and shown by its fields and its
+    class; pickle and copy rebuild it through its constructor."""
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # rebuilt, not copied: a string's hash differs between processes
+        return type(self), self._key()
+
+
+class _Profile(_Frozen):
     """Weighted ballot groups over candidates 0..m-1: what approval and
     ranked profiles share."""
 
-    m: int
-    ballots: tuple
-    labels: tuple[str, ...] = None
+    _fields = ("m", "ballots", "labels")
 
     def __init__(self, m: int, ballots: Iterable, labels=None):
         m = int(m)

@@ -21,13 +21,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 from typing import Callable, Literal, NamedTuple, Optional, Union
 
-from avrunoff.profiles import InputError, Profile, Tally, exact
+from avrunoff.profiles import InputError, Profile, Tally, _Frozen, exact
 
 
 class CandidatePair(NamedTuple):
@@ -69,8 +68,7 @@ QUOTA = Param("quota", "quota", Fraction(0), None, "enephr[Q={}]")
 BETA = Param("beta", "beta", Fraction(0), Fraction(1), "enephr[beta={}]")
 
 
-@dataclass(frozen=True)
-class RuleSpec:
+class RuleSpec(_Frozen):
     """Which rule to run, with its exact-rational parameters.
 
     A kind with parameters (see RULES) takes exactly one of them; for the
@@ -81,34 +79,29 @@ class RuleSpec:
     derived work key on it.
     """
 
-    kind: str
-    alpha: Optional[Fraction] = None
-    quota: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
+    _fields = ("kind", "alpha", "quota", "beta")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, alpha=None, quota=None, beta=None):
+        fields = self.__dict__
+        fields.update(kind=kind, alpha=alpha, quota=quota, beta=beta)
         try:
-            params = _KINDS[self.kind].params
+            params = _KINDS[kind].params
         except KeyError:
-            raise InputError(f"unknown rule kind {self.kind!r}") from None
+            raise InputError(f"unknown rule kind {kind!r}") from None
         for field in ("alpha", "quota", "beta"):
-            if getattr(self, field) is not None and all(p.field != field for p in params):
-                raise InputError(f"rule kind {self.kind!r} takes no {field}")
-        given = [p for p in params if getattr(self, p.field) is not None]
+            if fields[field] is not None and all(p.field != field for p in params):
+                raise InputError(f"rule kind {kind!r} takes no {field}")
+        given = [p for p in params if fields[p.field] is not None]
         if params and len(given) != 1:
             raise InputError("give exactly one of " + " or ".join(p.field for p in params))
         for param in given:
-            object.__setattr__(self, param.field, param.check(getattr(self, param.field)))
+            fields[param.field] = param.check(fields[param.field])
         # the rule function's arguments after the tally, in its parameters' order
-        object.__setattr__(self, "_args", tuple(getattr(self, p.field) for p in params))
-        object.__setattr__(self, "_hash", hash((self.kind, self.alpha, self.quota, self.beta)))
+        fields["_args"] = tuple(fields[p.field] for p in params)
+        fields["_hash"] = hash(self._key())
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not copied: a string's hash differs between processes
-        return RuleSpec, (self.kind, self.alpha, self.quota, self.beta)
 
     @classmethod
     def named(cls, name: str, quota_beta=None) -> "RuleSpec":
@@ -176,8 +169,7 @@ class ScoreTable(Mapping):
         return repr(self._read())
 
 
-@dataclass(frozen=True)
-class RuleOutcome:
+class RuleOutcome(NamedTuple):
     """Optimal pairs plus the exact score of every scored pair.
 
     For joint rules the table covers all C(m, 2) pairs and `pairs` is its

@@ -4,16 +4,14 @@ finalist pair (every pair, for `rules.TRIV`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from avrunoff.profiles import InputError, RankedProfile, majority_outcome
 from avrunoff.rules import CandidatePair, RuleOutcome, RuleSpec, evaluate
 
 
-@dataclass(frozen=True)
-class RunoffResult:
+class RunoffResult(NamedTuple):
     """Majority outcome of every finalist pair, winners unioned.
 
     A tied pair contributes both of its members; no tie-break is invented.

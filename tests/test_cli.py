@@ -152,12 +152,13 @@ class TestSimulate:
 
     def test_other_commands_do_not_import_numpy(self):
         src = Path(__file__).resolve().parent.parent / "src"
-        # nor the axiom searches, which only `axioms` runs
-        code = ("import sys, avrunoff.cli; "
-                "print('numpy' in sys.modules, 'avrunoff.axioms' in sys.modules)")
+        # nor the axiom searches, which only `axioms` runs, nor what no light
+        # command needs: dataclasses (which loads inspect), traceback and csv
+        lazy = ("numpy", "avrunoff.axioms", "dataclasses", "inspect", "traceback", "csv")
+        code = f"import sys, avrunoff.cli; print([m for m in {lazy!r} if m in sys.modules])"
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
-        assert result.stdout == "False False\n"
+        assert result.stdout == "[]\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -413,6 +414,25 @@ class TestExitCodes:
         code, out, err = run(capsys, *command, "--profile", str(profile))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "line 3" in err
+
+    @pytest.mark.parametrize("command", [
+        ("score",), ("network", "--format", "json"),
+    ], ids=lambda c: c[0])
+    def test_weight_too_long_to_print_names_the_line(self, capsys, tmp_path, command):
+        # 10**5000 has more digits than str prints: rejected, not exit 2
+        profile = tmp_path / "huge.avr"
+        profile.write_text("candidates: a b c\n1e5000 * a | b c\n")
+        code, out, err = run(capsys, *command, "--profile", str(profile))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 2: bad weight '1e5000'")
+
+    def test_target_share_too_long_to_print_is_an_input_error(self, capsys, tmp_path):
+        shares = json.loads(Path(TARGETS).read_text())
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps({**shares, "a": "1e-5000"}))
+        code, out, err = run(capsys, "debias", "--profile", SURVEY, "--targets", str(targets))
+        assert (code, out) == (1, "")
+        assert err == "error: bad target share '1e-5000'\n"
 
     def test_targets_that_are_not_utf8_name_the_line(self, capsys, tmp_path):
         targets = tmp_path / "targets.json"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avrunoff.fileio import DebiasSpec, debias, parse_profile
+from avrunoff.fileio import DebiasSpec, debias, parse_document, parse_profile
 from avrunoff.profiles import (
     ApprovalBallot,
     ApprovalProfile,
@@ -18,8 +18,10 @@ from avrunoff.profiles import (
     RankedProfile,
     Tally,
     _with_weight,
+    exact,
 )
-from avrunoff.rules import MAV, evaluate
+from avrunoff.rules import MAV, PAV, RuleSpec, evaluate
+from avrunoff.runoff import avr
 from conftest import approval_profiles, ranked_profiles, tally_values
 
 A, B, C, D = 0, 1, 2, 3
@@ -563,6 +565,14 @@ class TestBallots:
         with pytest.raises(InputError):
             ApprovalBallot({0}, -1)
 
+    @pytest.mark.parametrize("text", ["1e10000000", "1e-10000000", "1e4300", "-1E-4300"])
+    def test_exponent_past_the_digit_limit_is_rejected_unbuilt(self, text):
+        # str prints no int of more than sys.get_int_max_str_digits() digits
+        # (4300 by default), and 10**10_000_000 takes seconds to build
+        with pytest.raises(InputError, match="bad weight"):
+            exact(text, "weight")
+        assert exact("-1e4299") == -10**4299 and exact("2.5E-3") == Fraction(1, 400)
+
     def test_threshold_constructor(self):
         ballot = RankedBallot.from_threshold((2, 0, 1), 2)
         assert ballot.approved == {2, 0}
@@ -626,3 +636,71 @@ class TestBallotDesign:
         assert hash(ballot) == hash(tuple(ballot))
         *_, weight = ballot
         assert weight == ballot.weight == ballot[-1]
+
+
+RANKED = RankedProfile(3, [RankedBallot((0, 1, 2), {0}, 2),
+                           RankedBallot((2, 1, 0), {2, 1}, Fraction(1, 2))])
+APPROVAL = ApprovalProfile(2, [ApprovalBallot({0, 1}), ApprovalBallot((), 3)], ("x", "y"))
+
+
+class TestRecordDesign:
+    """Profiles and rule specs are plain immutable classes, and the records
+    of the rules, the runoff and the parser are named tuples: each keeps the
+    repr, equality, hash, immutability and pickling of a frozen dataclass."""
+
+    def test_repr_strings(self):
+        document = parse_document("candidates: a b\n2 * a | b @ a\n")
+        assert list(map(repr, [RuleSpec.named("pav"), RuleSpec.named("enephr"), RANKED,
+                               APPROVAL, evaluate(RANKED, PAV), avr(RANKED, MAV),
+                               document])) == [
+            "RuleSpec(kind='alpha-av', alpha=Fraction(1, 2), quota=None, beta=None)",
+            "RuleSpec(kind='enestrom-phragmen', alpha=None, quota=None, beta=Fraction(1, 3))",
+            "RankedProfile(m=3, ballots=(RankedBallot(ranking=(0, 1, 2), "
+            "approved=frozenset({0}), weight=Fraction(2, 1)), RankedBallot(ranking=(2, 1, 0), "
+            "approved=frozenset({1, 2}), weight=Fraction(1, 2))), labels=('a', 'b', 'c'))",
+            "ApprovalProfile(m=2, ballots=(ApprovalBallot(approved=frozenset({0, 1}), "
+            "weight=Fraction(1, 1)), ApprovalBallot(approved=frozenset(), "
+            "weight=Fraction(3, 1))), labels=('x', 'y'))",
+            "RuleOutcome(pairs=(CandidatePair(lo=0, hi=1), CandidatePair(lo=0, hi=2)), "
+            "score_table={CandidatePair(lo=0, hi=1): Fraction(5, 2), CandidatePair(lo=0, hi=2): "
+            "Fraction(5, 2), CandidatePair(lo=1, hi=2): Fraction(3, 4)}, objective_sense='max', "
+            "first_stage=None, branch_alphas=None, candidate_scores=None)",
+            "RunoffResult(winners=frozenset({0}), finalist_pairs=RuleOutcome(pairs=("
+            "CandidatePair(lo=0, hi=1), CandidatePair(lo=0, hi=2)), score_table={"
+            "CandidatePair(lo=0, hi=1): Fraction(5, 2), CandidatePair(lo=0, hi=2): "
+            "Fraction(5, 2), CandidatePair(lo=1, hi=2): Fraction(1, 1)}, objective_sense='max', "
+            "first_stage=None, branch_alphas=None, candidate_scores=None), "
+            "per_pair_majority=mappingproxy({CandidatePair(lo=0, hi=1): frozenset({0}), "
+            "CandidatePair(lo=0, hi=2): frozenset({0})}))",
+            "ProfileDocument(profile=RankedProfile(m=2, ballots=(RankedBallot(ranking=(0, 1), "
+            "approved=frozenset({0}), weight=Fraction(2, 1)),), labels=('a', 'b')), "
+            "reported=(0,))",
+        ]
+
+    def test_equal_records_hash_equal(self):
+        pairs = [(RuleSpec.named("pav"), RuleSpec("alpha-av", alpha="1/2")),
+                 (RuleSpec.named("enephr"), RuleSpec("enestrom-phragmen", beta=Fraction(1, 3))),
+                 (parse_profile("candidates: a b c\n2 * a | b c\n1/2 * c b | a\n"), RANKED)]
+        for made, built in pairs:
+            assert made == built and hash(made) == hash(built)
+        # a record equals only one of its own class
+        assert RANKED.as_approval() != RANKED != (RANKED.m, RANKED.ballots, RANKED.labels)
+        assert RuleSpec.named("pav") != RuleSpec.named("mav")
+
+    @pytest.mark.parametrize("record,field", [(RANKED, "m"), (APPROVAL, "labels"),
+                                              (RuleSpec.named("pav"), "kind")])
+    def test_a_field_cannot_be_set_or_deleted(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+
+    @pytest.mark.parametrize("record", [RANKED, APPROVAL, RuleSpec.named("enephr")],
+                             ids=["ranked", "approval", "spec"])
+    def test_pickle_and_copy_rebuild_an_equal_record(self, record):
+        avr(RANKED, MAV)  # fills the profile's cache, which is not copied
+        made = [copy.copy(record), copy.deepcopy(record)]
+        made += [pickle.loads(pickle.dumps(record, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for r in made:
+            assert type(r) is type(record) and r == record and hash(r) == hash(record)
+            assert "_cache" not in vars(r)
