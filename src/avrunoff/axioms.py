@@ -43,8 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from avrunoff.profiles import (
     ApprovalProfile,
@@ -66,8 +65,7 @@ CLONE_PROOFNESS = "clone-proofness"
 FAVORITE_CONSISTENCY = "favorite-consistency"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A replayable counterexample: the profile, the transformation, and
     the winner sets observed on both sides. `ballot` is the improving or
     deviating ballot of `voter`."""
@@ -104,8 +102,7 @@ class Violation:
         ) == self
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """A search's first witness, if any, and its position in the search's
     enumeration (or, with none, the enumeration's length)."""
 
@@ -232,6 +229,22 @@ def cloning_extensions(profile: RankedProfile, a: int) -> Iterator[RankedProfile
             if k:
                 ballots.append(RankedBallot(above.ranking, above.approved, k))
         yield RankedProfile(clone + 1, ballots, labels)
+
+
+def _first_cloning(profile: RankedProfile, a: int) -> RankedProfile:
+    """`next(cloning_extensions(profile, a))`, built in O(groups * m) time
+    whatever the weights: the clone just below `a` on every ballot, each
+    group keeping its weight, and the groups of weight 0 dropped."""
+    _require_voter_groups(profile)
+    clone = profile.m
+    ballots = []
+    for b in profile.ballots:
+        if b.weight:
+            pos = b.position(a) + 1
+            approved = b.approved | {clone} if a in b.approved else b.approved
+            ballots.append(RankedBallot(b.ranking[:pos] + (clone,) + b.ranking[pos:],
+                                        approved, b.weight))
+    return RankedProfile(clone + 1, ballots, profile.labels + (clone_label(profile.labels, a),))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +589,7 @@ def _cloned(profile, spec, winners_before, a, weak) -> Optional[Violation]:
     """`cloning_violation` on a profile already known to be in its domain."""
     return _judged(
         WEAK_CLONE_PROOFNESS if weak else CLONE_PROOFNESS, profile, spec, winners_before,
-        next(cloning_extensions(profile, a)),
+        _first_cloning(profile, a),
         lambda after: not clone_conditions_hold(winners_before, after, a, profile.m),
         candidate=a, note=f"cloning {profile.labels[a]} changes the winner set",
     )
@@ -671,7 +684,7 @@ def check_axiom(profile: RankedProfile, spec: RuleSpec, axiom: str) -> SearchOut
             searched += out.searched
             if out.violation is not None:
                 break
-        return replace(out, searched=searched)
+        return out._replace(searched=searched)
     if axiom in (WEAK_CLONE_PROOFNESS, CLONE_PROOFNESS):
         return find_clone_violation(profile, spec, axiom == WEAK_CLONE_PROOFNESS)
     raise InputError(f"unknown axiom {axiom!r}")
@@ -694,12 +707,11 @@ def admissible_for_cell(profile: RankedProfile, rule_name: str, axiom: str) -> b
     return True
 
 
-@dataclass
-class GridCellReport:
+class GridCellReport(NamedTuple):
     rule: str
     axiom: str
     profiles_checked: int = 0
-    violations: list = field(default_factory=list)
+    violations: list = []
 
     @property
     def clean(self) -> bool:
@@ -715,14 +727,14 @@ def run_grid_cell(
 ) -> GridCellReport:
     """Check one rule/axiom cell on seeded random profiles."""
     rng = random.Random(seed)
-    report = GridCellReport(rule_name, axiom)
-    while report.profiles_checked < n_profiles:
+    checked, violations = 0, []
+    while checked < n_profiles:
         profile = random_ranked_profile(rng)
         if not admissible_for_cell(profile, rule_name, axiom):
             continue
         out = check_axiom(profile, spec, axiom)
-        report.profiles_checked += 1
+        checked += 1
         if out.violation is not None:
-            report.violations.append(out.violation)
+            violations.append(out.violation)
             break
-    return report
+    return GridCellReport(rule_name, axiom, checked, violations)

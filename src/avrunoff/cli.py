@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from avrunoff import fileio, rules
-from avrunoff.profiles import InputError, RankedProfile, exact
+from avrunoff.profiles import InputError, RankedProfile, exact, number_text
 from avrunoff.rules import CandidatePair, RuleSpec
 from avrunoff.runoff import avr
 
@@ -146,8 +146,8 @@ def _fmt_pair(pair: CandidatePair, labels) -> str:
 
 def _fmt_score(score) -> str:
     if isinstance(score, tuple):
-        return ";".join(str(s) for s in score)
-    return str(score)
+        return ";".join(number_text(s, "a score") for s in score)
+    return number_text(score, "a score")
 
 
 def _specs(names: list[str], quota_beta) -> list[RuleSpec]:
@@ -228,6 +228,7 @@ def cmd_sweep_alpha(args) -> int:
     for a in points:
         av = rules.tally_outcome(tally, RuleSpec("alpha-av", alpha=a))
         seq = rules.tally_outcome(tally, RuleSpec("alpha-seq", alpha=a))
+        alpha = number_text(a, "an alpha")
         # one second-seat curve per tied approval winner, since seq_pairs
         # unions their branches: one JSON entry and CSV row per branch
         for x1 in seq.first_stage:
@@ -237,17 +238,18 @@ def cmd_sweep_alpha(args) -> int:
                 for y in range(V.m)
                 if y != x1
             }
-            grid.append((a, av.pairs, seq.pairs, x1, curve))
+            grid.append((alpha, av.pairs, seq.pairs, x1, curve))
     if args.format == "json":
         payload = {
-            "breakpoints": [str(b) for b in breakpoints],
+            "breakpoints": [number_text(b, "an alpha") for b in breakpoints],
             "grid": [
                 {
-                    "alpha": str(a),
+                    "alpha": a,
                     "av_pairs": [_fmt_pair(p, V.labels) for p in av_pairs],
                     "seq_pairs": [_fmt_pair(p, V.labels) for p in seq_pairs],
                     "first": V.labels[x1],
-                    "second_seat_scores": {V.labels[y]: str(s) for y, s in curve.items()},
+                    "second_seat_scores": {V.labels[y]: number_text(s, "a second-seat score")
+                                           for y, s in curve.items()},
                 }
                 for a, av_pairs, seq_pairs, x1, curve in grid
             ],
@@ -259,15 +261,17 @@ def cmd_sweep_alpha(args) -> int:
         table = [["alpha", "av_pairs", "seq_pairs"] + [f"seq:{l}" for l in curve_labels]]
         for a, av_pairs, seq_pairs, x1, curve in grid:
             cells = [
-                str(a),
+                a,
                 ";".join(_fmt_pair(p, V.labels) for p in av_pairs),
                 ";".join(_fmt_pair(p, V.labels) for p in seq_pairs),
             ]
-            cells += [str(curve.get(y, "")) for y in range(V.m)]
+            cells += [number_text(curve[y], "a second-seat score") if y in curve else ""
+                      for y in range(V.m)]
             table.append(cells)
         _emit(args, _csv_text(table))
         return EXIT_OK
-    lines = ["argmax changes at: " + (", ".join(str(b) for b in breakpoints) or "never")]
+    lines = ["argmax changes at: "
+             + (", ".join(number_text(b, "an alpha") for b in breakpoints) or "never")]
     # one line per alpha, whatever its number of branches
     for a, (av_pairs, seq_pairs) in {a: (av, seq) for a, av, seq, _, _ in grid}.items():
         lines.append(

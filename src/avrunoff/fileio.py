@@ -31,6 +31,7 @@ from avrunoff.profiles import (
     _with_weight,
     as_weight,
     exact,
+    number_text,
 )
 
 
@@ -175,7 +176,7 @@ def serialize_document(doc: ProfileDocument) -> str:
         body = " ".join(labels[c] for c in prefix)
         if ranked:
             body = (body + " | " + " ".join(labels[c] for c in suffix)).strip()
-        text = f"{weight} * {body}".rstrip()
+        text = f"{number_text(weight, 'a weight')} * {body}".rstrip()
         if rep is not None:
             text += f" @ {labels[rep]}"
         lines.append(text)
@@ -273,30 +274,30 @@ def export_network(graph: AffinityGraph, threshold, fmt: str = "dot") -> str:
     threshold = exact(threshold, "threshold")
     if not 0 <= threshold <= 1:
         raise InputError("threshold must lie in [0, 1]")
-    kept = sorted((pair, w) for pair, w in graph.edges.items() if w > threshold)
+    kept = [(pair, w, number_text(w, "an edge weight"))
+            for pair, w in sorted(graph.edges.items()) if w > threshold]
     max_size = max(graph.node_sizes) if any(graph.node_sizes) else Fraction(1)
+    sizes = [number_text(s, "a node score") for s in graph.node_sizes]
     if fmt == "dot":
         out = ["graph affinity {", "  node [shape=circle];"]
         for i, lab in enumerate(graph.labels):
             rel = graph.node_sizes[i] / max_size if max_size else Fraction(0)
-            out.append(
-                f'  "{lab}" [score="{graph.node_sizes[i]}", width={float(rel):.6f}];'
-            )
-        for (a, b), w in kept:
+            out.append(f'  "{lab}" [score="{sizes[i]}", width={float(rel):.6f}];')
+        for (a, b), w, text in kept:
             out.append(
                 f'  "{graph.labels[a]}" -- "{graph.labels[b]}" '
-                f'[weight="{w}", penwidth={float(w) * 10:.6f}];'
+                f'[weight="{text}", penwidth={float(w) * 10:.6f}];'
             )
         out.append("}")
         return "\n".join(out) + "\n"
     if fmt == "json":
         payload = {
             "nodes": [
-                {"id": i, "label": lab, "score": str(graph.node_sizes[i])}
-                for i, lab in enumerate(graph.labels)
+                {"id": i, "label": lab, "score": size}
+                for i, (lab, size) in enumerate(zip(graph.labels, sizes))
             ],
             "edges": [
-                {"source": a, "target": b, "weight": str(w)} for (a, b), w in kept
+                {"source": a, "target": b, "weight": text} for (a, b), _, text in kept
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

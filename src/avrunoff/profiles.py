@@ -50,6 +50,16 @@ def exact(x, what: str = "value") -> Fraction:
         raise InputError(f"bad {what} {x!r}") from exc
 
 
+def number_text(x, what: str) -> str:
+    """`str(x)` of an exact number, or InputError naming `what` when it has
+    more digits than `str` prints (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"{what} is too long to print: over {limit} digits") from None
+
+
 def as_weight(w) -> Fraction:
     """Coerce to an exact nonnegative rational; floats are rejected."""
     wf = exact(w, "weight")
@@ -71,8 +81,9 @@ def _with_weight(ballot, weight: Fraction):
     return tuple.__new__(type(ballot), (*ballot[:-1], weight))
 
 
-class _Ballot:
-    """Every way to make a ballot (`_make`, `_replace`, pickle, copy) checks it."""
+class _Checked:
+    """A named tuple (a ballot, a `spatial.SpatialConfig`) that every way to
+    make it (`_make`, `_replace`, pickle, copy) checks, by its `__new__`."""
 
     __slots__ = ()
 
@@ -84,7 +95,7 @@ class _Ballot:
         return type(self), tuple(self)
 
 
-class ApprovalBallot(_Ballot, namedtuple("ApprovalBallot", "approved weight")):
+class ApprovalBallot(_Checked, namedtuple("ApprovalBallot", "approved weight")):
     """A set of approved candidate ids with a multiplicity weight."""
 
     __slots__ = ()
@@ -93,7 +104,7 @@ class ApprovalBallot(_Ballot, namedtuple("ApprovalBallot", "approved weight")):
         return tuple.__new__(cls, (frozenset(approved), as_weight(weight)))
 
 
-class RankedBallot(_Ballot, namedtuple("RankedBallot", "ranking approved weight")):
+class RankedBallot(_Checked, namedtuple("RankedBallot", "ranking approved weight")):
     """A full ranking (best first) plus an approved set and a weight.
 
     The approved set is stored explicitly rather than as a threshold so

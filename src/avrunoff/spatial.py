@@ -9,13 +9,13 @@ a closed form; for the Gaussian density it is estimated by Monte Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from avrunoff.profiles import InputError, RankedBallot, RankedProfile, exact
+from avrunoff.profiles import InputError, RankedBallot, RankedProfile, _Checked, exact
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -26,26 +26,24 @@ GRID_INTERVAL = {TRIANGULAR: (-1.0, 1.0), GAUSSIAN: (-2.0, 2.0)}
 GAUSSIAN_SIGMA = 0.5
 
 
-@dataclass(frozen=True)
-class SpatialConfig:
-    distribution: str = TRIANGULAR
-    d: float = 0.25
-    n_voters: int = 20000
-    n_candidates: int = 1000
-    candidate_placement: str = "grid"  # or "sampled"
-    seed: int = 7
+class SpatialConfig(_Checked, namedtuple(
+        "SpatialConfig", "distribution d n_voters n_candidates candidate_placement seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.distribution not in _DIST_CODE:
-            raise InputError(f"unknown distribution {self.distribution!r}")
-        if not self.d > 0:  # NaN too
+    def __new__(cls, distribution: str = TRIANGULAR, d: float = 0.25, n_voters: int = 20000,
+                n_candidates: int = 1000, candidate_placement: str = "grid", seed: int = 7):
+        if distribution not in _DIST_CODE:
+            raise InputError(f"unknown distribution {distribution!r}")
+        if not d > 0:  # NaN too
             raise InputError("approval radius d must be positive")
-        if self.n_voters < 1 or self.n_candidates < 2:
+        if n_voters < 1 or n_candidates < 2:
             raise InputError("need at least one voter and two candidates")
-        if self.candidate_placement not in ("grid", "sampled"):
-            raise InputError(f"unknown candidate placement {self.candidate_placement!r}")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        if candidate_placement not in ("grid", "sampled"):
+            raise InputError(f"unknown candidate placement {candidate_placement!r}")
+        if seed < 0:
+            raise InputError(f"seed must be non-negative, got {seed}")
+        return tuple.__new__(cls, (distribution, d, n_voters, n_candidates,
+                                   candidate_placement, seed))
 
 
 def triangular_pdf(x: float) -> float:
@@ -223,8 +221,7 @@ def joint_counts(first: np.ndarray, end: np.ndarray, i1: int) -> np.ndarray:
     return np.maximum(np.minimum(end, end[i1]) - np.maximum(first, first[i1]), 0)
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(NamedTuple):
     alpha: Fraction
     d: float
     first_position: float
@@ -306,8 +303,7 @@ def empirical_second_finalist(config: SpatialConfig, alpha) -> PositionReport:
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     distribution: str
     d: float
     alpha: Fraction
@@ -328,7 +324,7 @@ def sweep(config: SpatialConfig, alphas: Sequence, ds: Sequence[float]) -> list[
     """
     rows, exact_alphas, electorate = [], [], None
     for d in map(float, ds):
-        replace(config, d=d)  # SpatialConfig rejects a radius that is not positive
+        config._replace(d=d)  # SpatialConfig rejects a radius that is not positive
         analytic = []
         for i, alpha in enumerate(alphas):
             if i == len(exact_alphas):  # the first radius checks each alpha

@@ -1,6 +1,5 @@
 """Axiom checker behavior: stored witnesses, search soundness, first witnesses."""
 
-import dataclasses
 import gc
 import itertools
 import math
@@ -682,6 +681,22 @@ class TestCloneSearch:
                         "none", "violation", "vacuous"}
 
 
+    def test_first_cloning_is_the_first_extension(self):
+        # random unit profiles, and groups of weight 0 to 3, whose first
+        # extension drops the groups of weight 0
+        rng = random.Random(83)
+        profiles = [random_ranked_profile(rng) for _ in range(30)]
+        for _ in range(30):
+            m = rng.randint(2, 5)
+            profiles.append(RankedProfile(m, [
+                RankedBallot(rng.sample(range(m), m), rng.sample(range(m), rng.randint(0, m)),
+                             rng.randint(0, 3))
+                for _ in range(rng.randint(1, 4))
+            ]))
+        for profile in profiles:
+            for a in range(profile.m):
+                assert axioms._first_cloning(profile, a) == next(cloning_extensions(profile, a))
+
     def test_screen_is_the_first_extensions_tally_and_margins(self):
         rng = random.Random(79)
         for _ in range(40):
@@ -716,7 +731,7 @@ class TestVerify:
         assert v.verify()
         # twice the electorate: the same winners, but no single-voter change
         # or cloning of v.profile
-        forged = dataclasses.replace(v, transformed=v.transformed.scaled(2))
+        forged = v._replace(transformed=v.transformed.scaled(2))
         assert avr(forged.transformed, v.rule).winners == v.winners_after
         assert not forged.verify()
 
@@ -741,7 +756,7 @@ class TestVerify:
     def test_rejects_a_stored_witness_moved_out_of_the_profile(self, rule, axiom, change):
         v = witnesses.stored_grid_counterexample(rule, axiom)
         assert v.verify()
-        assert not dataclasses.replace(v, **change).verify()
+        assert not v._replace(**change).verify()
 
     @pytest.mark.parametrize("rule,axiom,verifies", [
         ("ccav", PARETO, True),
@@ -755,7 +770,7 @@ class TestVerify:
         # raises; domination does not depend on the weights
         v = witnesses.stored_grid_counterexample(rule, axiom)
         assert v.verify()
-        halved = dataclasses.replace(v, profile=v.profile.scaled(Fraction(1, 2)))
+        halved = v._replace(profile=v.profile.scaled(Fraction(1, 2)))
         assert avr(halved.profile, v.rule).winners == v.winners_before
         assert halved.verify() is verifies
 

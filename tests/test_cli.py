@@ -160,6 +160,17 @@ class TestSimulate:
                                 text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert result.stdout == "[]\n"
 
+    @pytest.mark.parametrize("modules,absent", [
+        ("avrunoff.axioms, avrunoff.witnesses", ("dataclasses", "inspect")),
+        ("avrunoff.spatial", ("dataclasses",)),  # numpy loads inspect
+    ], ids=["axioms", "spatial"])
+    def test_heavy_commands_do_not_import_dataclasses(self, modules, absent):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = f"import sys, {modules}; print([m for m in {absent!r} if m in sys.modules])"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout == "[]\n"
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "simulate", "--d", "0.2", "--alphas", "0.5",
@@ -203,6 +214,17 @@ class TestAxioms:
         assert code == 0
         cell = json.loads(out)["triv/strategy-proofness"]
         assert (cell["status"], cell["searched"]) == ("none", 1666)
+
+    def test_clone_witness_of_groups_past_a_machine_int(self, capsys, tmp_path):
+        # the clone search builds one extension, not the product of
+        # range(w + 1) over the groups, which cannot hold 10**30 + 1 items
+        w = 10**30
+        profile = tmp_path / "heavy.avr"
+        profile.write_text(f"candidates: a b c\n{w} * a | b c\n{w} * b | a c\n{w} * b a | c\n")
+        code, out, _ = run(capsys, "axioms", "--profile", str(profile), "--rule", "mav",
+                           "--axiom", "weak-clone-proofness")
+        assert code == 0
+        assert out.splitlines()[1].split() == ["mav", "VIOLATION"]
 
     def test_seven_candidates_and_thirteen_voters_get_a_verdict(self, capsys, tmp_path):
         # 13 * (7! * 8 - 1) = 524,147 deviations, each profile-sized search
@@ -425,6 +447,26 @@ class TestExitCodes:
         code, out, err = run(capsys, *command, "--profile", str(profile))
         assert (code, out) == (1, "")
         assert err.startswith("error: line 2: bad weight '1e5000'")
+
+    @pytest.mark.parametrize("command,what", [
+        (("score",), "a score"),
+        (("sweep-alpha", "--format", "csv"), "a second-seat score"),
+        (("sweep-alpha", "--format", "json"), "a second-seat score"),
+        (("network",), "a node score"),
+        (("network", "--format", "json"), "a node score"),
+        (("debias", "--targets", "targets.json"), "a weight"),
+    ], ids=["score", "sweep-alpha-csv", "sweep-alpha-json", "network-dot", "network-json",
+            "debias"])
+    def test_result_too_long_to_print_is_an_input_error(self, capsys, tmp_path, monkeypatch,
+                                                         command, what):
+        # each weight prints, but a sum of two has 4,301 digits
+        monkeypatch.chdir(tmp_path)
+        Path("targets.json").write_text('{"a": "1/2", "b": "1/2"}')
+        Path("sum.avr").write_text("candidates: a b c\n9e4299 * a | b c @ a\n"
+                                   "9e4299 * b | a c @ b\n9e4299 * b a | c @ b\n")
+        code, out, err = run(capsys, *command, "--profile", "sum.avr")
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} is too long to print: over 4300 digits\n"
 
     def test_target_share_too_long_to_print_is_an_input_error(self, capsys, tmp_path):
         shares = json.loads(Path(TARGETS).read_text())

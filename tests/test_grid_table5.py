@@ -3,7 +3,6 @@ exhaustive transformation search; every other cell exhibits a verified
 counterexample. Joint compatibility spot-checks run the compatible rule
 pairs on shared profile batches."""
 
-import dataclasses
 import importlib.util
 import random
 import subprocess
@@ -91,7 +90,7 @@ def test_election_grid_script_prints_every_cell_the_same_each_run(capsys):
     script = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(script)
     # the script's profile, smaller
-    config = dataclasses.replace(script.PROFILE, n_voters=40, n_candidates=6)
+    config = script.PROFILE._replace(n_voters=40, n_candidates=6)
     runs = []
     for _ in range(2):
         script.run_grid(spatial.sample_profile(config))

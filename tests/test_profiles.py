@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avrunoff import axioms, spatial, witnesses
 from avrunoff.fileio import DebiasSpec, debias, parse_document, parse_profile
 from avrunoff.profiles import (
     ApprovalBallot,
@@ -641,18 +642,23 @@ class TestBallotDesign:
 RANKED = RankedProfile(3, [RankedBallot((0, 1, 2), {0}, 2),
                            RankedBallot((2, 1, 0), {2, 1}, Fraction(1, 2))])
 APPROVAL = ApprovalProfile(2, [ApprovalBallot({0, 1}), ApprovalBallot((), 3)], ("x", "y"))
+CONFIG = spatial.SpatialConfig(d=0.4, n_voters=30, n_candidates=4, seed=5)
 
 
 class TestRecordDesign:
     """Profiles and rule specs are plain immutable classes, and the records
-    of the rules, the runoff and the parser are named tuples: each keeps the
-    repr, equality, hash, immutability and pickling of a frozen dataclass."""
+    of the rules, the runoff, the parser, the axiom searches and the spatial
+    model are named tuples: each keeps the repr, equality, hash, immutability
+    and pickling of a frozen dataclass."""
 
     def test_repr_strings(self):
         document = parse_document("candidates: a b\n2 * a | b @ a\n")
+        pareto = witnesses.stored_grid_counterexample("ccav", axioms.PARETO).profile
         assert list(map(repr, [RuleSpec.named("pav"), RuleSpec.named("enephr"), RANKED,
                                APPROVAL, evaluate(RANKED, PAV), avr(RANKED, MAV),
-                               document])) == [
+                               document, CONFIG, spatial.sweep(CONFIG, ["1/2"], [0.4])[0],
+                               axioms.check_axiom(pareto, RuleSpec.named("ccav"), axioms.PARETO),
+                               axioms.run_grid_cell("mav", MAV, axioms.PARETO, 5, 3)])) == [
             "RuleSpec(kind='alpha-av', alpha=Fraction(1, 2), quota=None, beta=None)",
             "RuleSpec(kind='enestrom-phragmen', alpha=None, quota=None, beta=Fraction(1, 3))",
             "RankedProfile(m=3, ballots=(RankedBallot(ranking=(0, 1, 2), "
@@ -675,6 +681,22 @@ class TestRecordDesign:
             "ProfileDocument(profile=RankedProfile(m=2, ballots=(RankedBallot(ranking=(0, 1), "
             "approved=frozenset({0}), weight=Fraction(2, 1)),), labels=('a', 'b')), "
             "reported=(0,))",
+            "SpatialConfig(distribution='triangular', d=0.4, n_voters=30, n_candidates=4, "
+            "candidate_placement='grid', seed=5)",
+            "SweepRow(distribution='triangular', d=0.4, alpha=Fraction(1, 2), "
+            "analytic=0.19999999999999998, empirical=0.33333333333333337, seed=5, "
+            "generator='numpy-pcg64')",
+            "SearchOutcome(violation=Violation(axiom='pareto', rule=RuleSpec(kind='alpha-av', "
+            "alpha=Fraction(1, 1), quota=None, beta=None), profile=RankedProfile(m=3, "
+            "ballots=(RankedBallot(ranking=(0, 1, 2), approved=frozenset({0, 1, 2}), "
+            "weight=Fraction(1, 1)), RankedBallot(ranking=(0, 1, 2), approved=frozenset({0, 1}), "
+            "weight=Fraction(1, 1)), RankedBallot(ranking=(0, 1, 2), approved=frozenset({0}), "
+            "weight=Fraction(1, 1)), RankedBallot(ranking=(1, 2, 0), approved=frozenset(), "
+            "weight=Fraction(4, 1))), labels=('a', 'b', 'c')), winners_before=frozenset({1, 2}), "
+            "transformed=None, winners_after=None, candidate=2, partner=1, pair=None, "
+            "voter=None, ballot=None, note='c wins although b dominates it'), searched=1, "
+            "vacuous=False)",
+            "GridCellReport(rule='mav', axiom='pareto', profiles_checked=5, violations=[])",
         ]
 
     def test_equal_records_hash_equal(self):
@@ -704,3 +726,19 @@ class TestRecordDesign:
         for r in made:
             assert type(r) is type(record) and r == record and hash(r) == hash(record)
             assert "_cache" not in vars(r)
+
+    @pytest.mark.parametrize("change", [{"d": 0}, {"seed": -1}])
+    def test_a_config_is_made_only_through_its_checks(self, change):
+        with pytest.raises(InputError):
+            CONFIG._replace(**change)
+        forged = tuple.__new__(spatial.SpatialConfig, {**CONFIG._asdict(), **change}.values())
+        makers = [lambda: copy.copy(forged), lambda: copy.deepcopy(forged)]
+        makers += [lambda p=p: pickle.loads(pickle.dumps(forged, p))
+                   for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for make in makers:
+            with pytest.raises(InputError):
+                make()
+        made = [copy.copy(CONFIG), copy.deepcopy(CONFIG)]
+        made += [pickle.loads(pickle.dumps(CONFIG, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for r in made:
+            assert type(r) is spatial.SpatialConfig and r == CONFIG

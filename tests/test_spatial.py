@@ -1,6 +1,5 @@
 import importlib.util
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
@@ -332,7 +331,7 @@ class TestSweep:
             cells = [(d, a) for d in ds for a in alphas]
             assert len(rows) == len(cells)
             for row, (d, a) in zip(rows, cells):
-                report = spatial.empirical_second_finalist(replace(config, d=d), a)
+                report = spatial.empirical_second_finalist(config._replace(d=d), a)
                 assert (row.d, row.alpha) == (d, report.alpha)
                 assert row.empirical == report.second_distance
                 if dist == spatial.TRIANGULAR:
